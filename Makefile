@@ -1,6 +1,6 @@
 # See README "Install"; `make check` is the pre-commit gate.
 
-.PHONY: check build test race bench bench-smoke bench-check
+.PHONY: check build test race bench bench-smoke
 
 check:
 	./scripts/check.sh
@@ -14,15 +14,14 @@ test:
 race:
 	go test -race ./internal/stats/... ./internal/obs/...
 
-# Hot-loop benchmark suite; writes BENCH_hotloop.json (baseline + current).
+# Hot-loop microbenchmarks (engine, DRAM, integrity stores) and the reduced
+# Figure 8 wall-clock benchmark. End-to-end sweep numbers come from the
+# repository benchmark (benchmark/README.md).
 bench:
-	./scripts/bench.sh
+	go test -run '^$$' -bench . -benchmem ./internal/core ./internal/dram ./internal/integrity .
 
-# One-iteration smoke run of the same suite (CI, non-gating).
+# One-iteration smoke run of the same suite (CI, non-gating). It includes
+# BenchmarkObsOverheadGuard, which fails if disabled obs hooks change cycles
+# or cost more than 5%.
 bench-smoke:
-	./scripts/bench.sh smoke
-
-# Compare the current benchmark numbers in BENCH_hotloop.json against the
-# frozen baseline and write a machine-readable delta report.
-bench-check:
-	go run ./cmd/benchcheck -bench-json BENCH_hotloop.json -report bench_delta.json
+	go test -run '^$$' -bench . -benchmem -benchtime=1x ./internal/core ./internal/dram ./internal/integrity .

@@ -36,8 +36,7 @@ func main() {
 	ops := flag.Uint64("ops", 50_000, "memory operations per core")
 	bench := flag.String("bench", "", "comma-separated benchmark subset (default: experiment's own)")
 	seed := flag.Int64("seed", 42, "trace generation seed")
-	parallel := flag.Int("parallel", 0, "concurrent simulations (default: CPUs-1; clamped so parallel × tick-workers fits the machine)")
-	tickWorkers := flag.Int("tick-workers", 0, "tick independent DRAM channels inside each run on this many parallel workers (0/1 = serial; bit-identical results; effective only for multi-channel runs)")
+	parallel := flag.Int("parallel", 0, "concurrent simulations (default: CPUs-1)")
 	batch := flag.Bool("batch", false, "share trace generation across jobs with the same (benchmark, seed, cores, ops) key instead of regenerating per run")
 	farmAddr := flag.String("farm", "", "run every sweep on the simfarmd coordinator at this address instead of in-process (results bit-identical; the farm corpus serves cache hits)")
 	farmCA := flag.String("farm-ca", "", "with -farm: CA bundle (PEM) pinning the coordinator's TLS certificate; implies https")
@@ -52,7 +51,6 @@ func main() {
 	traceCap := flag.Int("trace-cap", 0, "per-run event ring capacity for -trace-events (0 = default 1M)")
 	progress := flag.Bool("progress", false, "print a live sweep progress line to stderr: completed/total, cache-hit ratio, jobs/sec, ETA")
 	statusAddr := flag.String("status-addr", "", "serve the live sweep status API on this address: /progress (JSON snapshot), /metrics (Prometheus), /events (lifecycle stream), /debug/pprof")
-	pprofAddr := flag.String("pprof", "", "deprecated alias of -status-addr (the unified server also mounts /debug/pprof)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory; identical runs are served from <dir>/<hash>.json instead of re-simulated")
 	noCache := flag.Bool("no-cache", false, "disable the result cache even if -cache-dir or -resume is set")
 	resume := flag.Bool("resume", false, "resume an interrupted sweep: enable the cache (default .runcache) so only missing runs re-simulate")
@@ -63,7 +61,7 @@ func main() {
 
 	// A first SIGINT/SIGTERM cancels the sweep cooperatively: queued jobs
 	// are skipped while in-flight simulations drain into the cache and the
-	// sweep manifest is flushed. A second signal force-kills (stop restores
+	// sweep journal is flushed. A second signal force-kills (stop restores
 	// the default handler once the context has fired).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -77,10 +75,6 @@ func main() {
 	}
 	if *noCache {
 		*cacheDir = ""
-	}
-
-	if *statusAddr == "" {
-		*statusAddr = *pprofAddr
 	}
 
 	jsonOut := map[string]any{}
@@ -114,7 +108,6 @@ func main() {
 		OpsPerCore:  *ops,
 		Seed:        *seed,
 		Parallel:    *parallel,
-		TickWorkers: *tickWorkers,
 		BatchTraces: *batch,
 		FarmAddr:    *farmAddr,
 		FarmCA:      *farmCA,
@@ -277,7 +270,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "error:", err)
 		}
 		if *cacheDir != "" {
-			fmt.Fprintf(os.Stderr, "interrupted: in-flight jobs drained into %s (sweep manifest alongside)\n", *cacheDir)
+			fmt.Fprintf(os.Stderr, "interrupted: in-flight jobs drained into %s (sweep journal alongside)\n", *cacheDir)
 			fmt.Fprintf(os.Stderr, "rerun the same command with -cache-dir %s (or -resume) to continue without re-simulating completed jobs\n", *cacheDir)
 		} else {
 			fmt.Fprintln(os.Stderr, "interrupted: no cache directory was set, so completed work was not persisted; next time add -cache-dir DIR or -resume to make the sweep resumable")

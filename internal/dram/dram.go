@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"os"
 	"strconv"
-	"sync"
 
 	"repro/internal/addrmap"
 	"repro/internal/mem"
@@ -41,13 +39,6 @@ type Config struct {
 	// reaches HighWM the channel drains writes until LowWM.
 	HighWM int
 	LowWM  int
-	// TickWorkers, when > 1, ticks independent channels on a persistent
-	// worker pool with a cycle barrier (see parallel.go). Results are
-	// bit-identical to serial execution; the knob trades goroutines for
-	// wall-clock on multi-channel configurations and is clamped to the
-	// channel count. 0 or 1 means serial. Callers that enable it must
-	// call Close when done with the Memory to stop the workers.
-	TickWorkers int
 }
 
 // DefaultConfig returns the Table III configuration for the given channel
@@ -330,14 +321,6 @@ type Memory struct {
 	cfg      Config
 	channels []*channel
 	now      uint64 // current DRAM cycle
-
-	// pool is the channel-parallel tick pool (nil when serial). It is
-	// created lazily on the first Tick so that attachments made between
-	// New and the run (a shared event tracer is not safe to write from
-	// multiple workers) can force the serial path via serialOnly.
-	pool       *tickPool
-	poolOnce   sync.Once
-	serialOnly bool
 }
 
 // New builds a memory system from cfg.
@@ -347,18 +330,6 @@ func New(cfg Config) *Memory {
 	}
 	if cfg.LowWM >= cfg.HighWM || cfg.HighWM > cfg.WriteQ {
 		panic(fmt.Sprintf("dram: bad watermarks low=%d high=%d cap=%d", cfg.LowWM, cfg.HighWM, cfg.WriteQ))
-	}
-	// ITESP_TICK_WORKERS forces channel-parallel ticking for every Memory
-	// whose config leaves TickWorkers unset. It exists so CI can run the
-	// ordinary test suites with the parallel tick path engaged under the
-	// race detector; results are bit-identical either way, so every test
-	// must still pass.
-	if cfg.TickWorkers == 0 {
-		if v := os.Getenv("ITESP_TICK_WORKERS"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil {
-				cfg.TickWorkers = n
-			}
-		}
 	}
 	m := &Memory{cfg: cfg}
 	for c := 0; c < cfg.Geom.Channels; c++ {
@@ -423,13 +394,6 @@ func (m *Memory) AttachCheckers() []*Checker {
 // emits an instant event to tr on the matching channel track. Both may be
 // nil. Observation is read-only and never alters scheduling decisions.
 func (m *Memory) AttachObs(reg *obs.Registry, tr *obs.Tracer, chanTracks []obs.TrackID) {
-	if tr != nil {
-		// The tracer is one shared event ring; channel workers must not
-		// write it concurrently, so a traced run ticks serially. Stats
-		// registration is fine either way: each counter belongs to one
-		// channel and is only written by that channel's owner.
-		m.serialOnly = true
-	}
 	for c, ch := range m.channels {
 		if tr != nil && len(chanTracks) > c {
 			ch.tr = tr
@@ -535,22 +499,6 @@ func (m *Memory) Pending() int {
 // system is guaranteed idle until at least NextEvent, which the simulation
 // loop exploits to fast-forward.
 func (m *Memory) Tick(done []*Txn) ([]*Txn, bool) {
-	if m.cfg.TickWorkers > 1 {
-		m.poolOnce.Do(func() {
-			w := m.cfg.TickWorkers
-			if w > len(m.channels) {
-				w = len(m.channels)
-			}
-			if w > 1 && !m.serialOnly {
-				m.pool = newTickPool(m.channels, w)
-			}
-		})
-		if m.pool != nil {
-			done, active := m.pool.tick(m.now, m.channels, done)
-			m.now++
-			return done, active
-		}
-	}
 	active := false
 	for _, ch := range m.channels {
 		var a bool
@@ -559,17 +507,6 @@ func (m *Memory) Tick(done []*Txn) ([]*Txn, bool) {
 	}
 	m.now++
 	return done, active
-}
-
-// Close stops the channel-parallel worker pool, if one was started. It is
-// required after a run with TickWorkers > 1 and harmless otherwise; the
-// Memory must not be ticked after Close.
-func (m *Memory) Close() {
-	if m.pool != nil {
-		m.pool.stop()
-		m.pool = nil
-	}
-	m.serialOnly = true // a post-Close Tick falls back to serial instead of respawning
 }
 
 // NextEvent returns a lower bound on the next DRAM cycle at which any

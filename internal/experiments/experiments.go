@@ -40,11 +40,6 @@ type Options struct {
 	Seed int64
 	// Parallel is the number of concurrent simulations (default: CPUs).
 	Parallel int
-	// TickWorkers requests channel-parallel DRAM ticking inside every run
-	// (sim.Config.TickWorkers). Results are bit-identical at any value;
-	// the runner clamps Parallel so Parallel × TickWorkers stays within
-	// the machine. Zero keeps serial ticking.
-	TickWorkers int
 	// BatchTraces groups jobs sharing a (benchmark, seed, cores, ops)
 	// trace and generates that trace once per group, handing each job an
 	// immutable shared snapshot (runner.Options.BatchTraces).
@@ -90,8 +85,8 @@ type Options struct {
 	RunnerStats *runner.Stats
 	// Telemetry, when non-nil, receives job-lifecycle events from every
 	// batch of the experiment (see internal/obs/sweep); with a CacheDir
-	// set, each batch also journals its events to a telemetry.jsonl beside
-	// the sweep manifest.
+	// set, each batch journals its events to the sweep's telemetry.jsonl
+	// beside the cache entries.
 	Telemetry *sweep.Collector
 	// Obs configures per-simulation observability artifacts and sweep
 	// progress reporting.
@@ -280,9 +275,6 @@ func runBatch(o Options, jobs []job) (map[string]*sim.Summary, error) {
 	}
 	rjobs := make([]runner.Job, len(jobs))
 	for i, j := range jobs {
-		if o.TickWorkers > 0 && j.spec.TickWorkers == 0 {
-			j.spec.TickWorkers = o.TickWorkers
-		}
 		rjobs[i] = runner.Job{Key: j.key, Spec: j.spec}
 	}
 	ctx := o.Ctx
@@ -305,8 +297,6 @@ func runBatchFarm(o Options, jobs []job) (map[string]*sim.Summary, error) {
 	}
 	named := make([]runspec.Named, len(jobs))
 	for i, j := range jobs {
-		// TickWorkers stays local: it is the *worker's* execution knob, and
-		// the hash is invariant to it anyway.
 		named[i] = runspec.Named{Key: j.key, Spec: j.spec}
 	}
 	ctx := o.Ctx

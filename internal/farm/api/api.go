@@ -67,7 +67,7 @@ func Routes() []Route {
 		{Method: "POST", Path: PathLease, Doc: "long-poll lease of the next queued job (worker pull)"},
 		{Method: "POST", Path: PathHeartbeat, Doc: "renew a live lease before its TTL lapses"},
 		{Method: "POST", Path: PathComplete, Doc: "push a leased job's summary or classified failure"},
-		{Method: "POST", Path: PathWorkers, Doc: "register a worker and advertise its capabilities (name, version, memory, tick-workers)"},
+		{Method: "POST", Path: PathWorkers, Doc: "register a worker and advertise its capabilities (name, version, memory)"},
 		{Method: "GET", Path: "/progress", Doc: "aggregated sweep progress snapshot (JSON)"},
 		{Method: "GET", Path: "/metrics", Doc: "Prometheus exposition: farm_* and sweep_* gauges"},
 		{Method: "GET", Path: "/events", Doc: "live job-lifecycle stream (NDJSON, or SSE via Accept)"},
@@ -242,8 +242,6 @@ type RegisterRequest struct {
 	// MaxMemMB advertises the memory budget the worker is willing to
 	// dedicate to simulations (0 = unknown/unbounded).
 	MaxMemMB int `json:"max_mem_mb,omitempty"`
-	// TickWorkers advertises the worker's channel-parallel tick width.
-	TickWorkers int `json:"tick_workers,omitempty"`
 }
 
 // RegisterResponse acknowledges a registration.
@@ -260,7 +258,6 @@ type WorkerStatus struct {
 	Name        string `json:"name"`
 	Version     string `json:"version,omitempty"`
 	MaxMemMB    int    `json:"max_mem_mb,omitempty"`
-	TickWorkers int    `json:"tick_workers,omitempty"`
 	FirstSeenMS int64  `json:"first_seen_t_ms"`
 	LastSeenMS  int64  `json:"last_seen_t_ms"`
 	Live        bool   `json:"live"`

@@ -596,7 +596,6 @@ func (c *Coordinator) RegisterWorker(req api.RegisterRequest) (*api.RegisterResp
 	}
 	w.Version = req.Version
 	w.MaxMemMB = req.MaxMemMB
-	w.TickWorkers = req.TickWorkers
 	w.LastSeenMS = now
 	return &api.RegisterResponse{Workers: len(c.workers)}, nil
 }

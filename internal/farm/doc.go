@@ -12,8 +12,8 @@
 //     hash over its jobs' spec hashes (the runner's SweepHash
 //     construction), so submission is idempotent and a farm sweep and the
 //     identical in-process sweep name the same work. Hashes fold
-//     execution-only knobs (runspec.Spec.Normalized), so the corpus is
-//     shareable across machines with different worker/core counts.
+//     defaults (runspec.Spec.Normalized), so the corpus is shareable
+//     across machines with different worker/core counts.
 //   - The shared result corpus is a runner.Cache: the same on-disk layout
 //     as a local .runcache, fed by every worker's pushed results. A
 //     submitted job whose hash is already in the corpus is satisfied
@@ -30,7 +30,7 @@
 //     /progress, /metrics, and /events aggregate the whole farm exactly
 //     like a local sweep. Every state transition is also journaled to an
 //     append-only farm-journal.jsonl beside the corpus (the crash-safe
-//     whole-line-append idiom of the sweep manifest).
+//     whole-line-append idiom of the runner's sweep journal).
 //
 // See DESIGN.md's "Sweep farm" chapter for the endpoint, lease, and
 // state-machine reference, and examples/farm for a runnable walkthrough.

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/farm/api"
 	"repro/internal/runner"
 	"repro/internal/runspec"
 )
@@ -154,10 +157,10 @@ func TestE2EFarmMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestE2EWorkerCountInvariantHash: a spec requesting channel-parallel
-// ticking hashes identically to the same spec without it, so farm results
-// are shared across heterogeneous workers — the cache-key invariance the
-// protocol depends on.
+// TestE2EWorkerCountInvariantHash: a spec carrying the deprecated, ignored
+// TickWorkers field hashes identically to the same spec without it, so farm
+// results are shared across workers and old specs — the cache-key
+// invariance the protocol depends on.
 func TestE2EWorkerCountInvariantHash(t *testing.T) {
 	base := runspec.Spec{Scheme: "itesp", Benchmark: "mcf", Cores: 2, Channels: 2, OpsPerCore: 2000}
 	tuned := base
@@ -172,5 +175,63 @@ func TestE2EWorkerCountInvariantHash(t *testing.T) {
 	}
 	if h1 != h2 {
 		t.Fatalf("TickWorkers must not enter the content hash: %s vs %s", h1, h2)
+	}
+}
+
+// TestDeprecatedTickWorkersStillLoads: old batches may carry the
+// deprecated "tick_workers" field. Both ReadBatch and POST /v1/sweeps
+// reject unknown fields, so the field is still decoded (and ignored): such
+// a batch loads and names the same runs and sweep as the batch without it.
+func TestDeprecatedTickWorkersStillLoads(t *testing.T) {
+	const spec = `"scheme": "nonsecure", "benchmark": "lbm", "cores": 1, "ops_per_core": 300, "seed": 1`
+	old := `{"jobs": [{"key": "a", "spec": {` + spec + `, "tick_workers": 4}}]}`
+	cur := `{"jobs": [{"key": "a", "spec": {` + spec + `}}]}`
+
+	hashOf := func(batch string) string {
+		t.Helper()
+		jobs, err := runspec.ReadBatch(strings.NewReader(batch))
+		if err != nil {
+			t.Fatalf("ReadBatch: %v", err)
+		}
+		h, err := jobs[0].Spec.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	if ho, hc := hashOf(old), hashOf(cur); ho != hc {
+		t.Fatalf("tick_workers changed the spec hash: %s vs %s", ho, hc)
+	}
+
+	co, err := NewCoordinator(Config{CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(co))
+	defer func() {
+		srv.Close()
+		co.Close()
+	}()
+	submit := func(batch string) api.SubmitResponse {
+		t.Helper()
+		resp, err := http.Post(srv.URL+api.PathSubmit, "application/json", strings.NewReader(batch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sub api.SubmitResponse
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d", api.PathSubmit, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	if so, sc := submit(old), submit(cur); so.Sweep != sc.Sweep {
+		t.Fatalf("tick_workers changed the sweep ID: %s vs %s", so.Sweep, sc.Sweep)
+	}
+	if s := co.Snapshot(); s.Jobs != 1 || s.Sweeps != 1 {
+		t.Fatalf("both submissions must name one job and one sweep: %+v", s)
 	}
 }

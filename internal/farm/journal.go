@@ -16,7 +16,7 @@ const JournalName = "farm-journal.jsonl"
 
 // JournalRecord is one JSONL line of the farm journal: a job-state
 // transition, appended the moment it happens. Like the runner's sweep
-// manifest, each append is a single whole-line O_APPEND write, so a crash
+// journal, each append is a single whole-line O_APPEND write, so a crash
 // can at worst tear the final line and every line before it survives —
 // the queue is reconstructible from the journal plus the corpus: a fresh
 // coordinator replays the journal on startup and compacts it to the
@@ -164,7 +164,7 @@ func (j *journal) close() error {
 
 // ReadJournal loads every parsable record from a farm journal. Unparsable
 // lines (at worst the torn final line of a crashed writer) are skipped,
-// not fatal, matching the runner's manifest reader.
+// not fatal, matching sweep.ReadJournal.
 func ReadJournal(path string) ([]JournalRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {

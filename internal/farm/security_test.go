@@ -163,13 +163,13 @@ func TestWorkerRegistry(t *testing.T) {
 	if _, err := cl.Register(ctx, api.RegisterRequest{}); errCode(t, err) != api.CodeBadRequest {
 		t.Fatal("nameless registration must be rejected")
 	}
-	reg, err := cl.Register(ctx, api.RegisterRequest{Name: "w1", Version: api.Version, MaxMemMB: 4096, TickWorkers: 4})
+	reg, err := cl.Register(ctx, api.RegisterRequest{Name: "w1", Version: api.Version, MaxMemMB: 4096})
 	if err != nil || reg.Workers != 1 {
 		t.Fatalf("register: %+v %v", reg, err)
 	}
 
 	ws := co.Workers()
-	if len(ws) != 1 || ws[0].Name != "w1" || ws[0].MaxMemMB != 4096 || ws[0].TickWorkers != 4 || !ws[0].Live {
+	if len(ws) != 1 || ws[0].Name != "w1" || ws[0].MaxMemMB != 4096 || !ws[0].Live {
 		t.Fatalf("workers: %+v", ws)
 	}
 	if s := co.Snapshot(); s.Workers != 1 {

@@ -34,11 +34,6 @@ type WorkerOptions struct {
 	// long without being granted a job — how a drain-and-exit worker (CI
 	// smoke, batch clusters) knows it is done. Zero runs until ctx fires.
 	IdleExit time.Duration
-	// TickWorkers requests channel-parallel DRAM ticking for leased runs
-	// whose specs leave it unset. Results (and hashes) are unchanged — it
-	// is the same execution-only knob the CLIs expose. Also advertised as a
-	// capability at registration.
-	TickWorkers int
 	// MaxMemMB advertises the worker's simulation memory budget at
 	// registration (0 = unknown). Advisory: the coordinator surfaces it on
 	// /progress, it does not gate leasing.
@@ -84,7 +79,7 @@ func Work(ctx context.Context, o WorkerOptions) (int, error) {
 	// rejected the same way.
 	rctx, rcancel := context.WithTimeout(ctx, 10*time.Second)
 	reg, rerr := o.Client.Register(rctx, api.RegisterRequest{
-		Name: o.Name, Version: api.Version, MaxMemMB: o.MaxMemMB, TickWorkers: o.TickWorkers,
+		Name: o.Name, Version: api.Version, MaxMemMB: o.MaxMemMB,
 	})
 	rcancel()
 	switch {
@@ -144,9 +139,6 @@ func Work(ctx context.Context, o WorkerOptions) (int, error) {
 // runLease executes one leased job and pushes its outcome.
 func (o WorkerOptions) runLease(ctx context.Context, cache *runner.Cache, lease *api.Lease, logf func(string, ...any)) {
 	spec := lease.Spec
-	if o.TickWorkers > 0 && spec.TickWorkers == 0 {
-		spec.TickWorkers = o.TickWorkers
-	}
 	hbEvery := time.Duration(lease.TTLMS) * time.Millisecond / 3
 	if hbEvery <= 0 {
 		hbEvery = 5 * time.Second

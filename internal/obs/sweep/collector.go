@@ -44,8 +44,8 @@ const (
 	EventSweepEnd = "sweep_end"
 )
 
-// Terminal outcomes carried by EventDone. They mirror the runner's sweep
-// manifest states, so the two journals speak the same vocabulary.
+// Terminal outcomes carried by EventDone; the runner classifies every
+// finished job into exactly one of them.
 const (
 	OutcomeDone     = "done"     // simulated to completion
 	OutcomeCached   = "cached"   // served from the result cache
@@ -367,7 +367,7 @@ func (c *Collector) SinkErr() error {
 }
 
 // AttachSink journals every subsequent event to w as one JSON line each
-// (the telemetry.jsonl format; see Replay). The caller owns w's lifetime;
+// (the telemetry.jsonl format; see ReadJournal). The caller owns w's lifetime;
 // pass nil to detach. Write errors are remembered (first one wins) and
 // reported by SinkErr, never propagated into the sweep.
 func (c *Collector) AttachSink(w io.Writer) {

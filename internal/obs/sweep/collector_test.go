@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -174,23 +176,30 @@ func TestCollectorSinkAndReplay(t *testing.T) {
 		t.Fatalf("journal has %d lines, collector emitted %d events", len(lines), p.Events)
 	}
 
-	tot, n, err := Replay(strings.NewReader(buf.String()))
+	path := filepath.Join(t.TempDir(), "sweep.telemetry.jsonl")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(lines) {
-		t.Fatalf("replayed %d events, want %d", n, len(lines))
+	if len(evs) != len(lines) {
+		t.Fatalf("read %d events, want %d", len(evs), len(lines))
 	}
 	want := Totals{Jobs: 4, Simulated: 2, CacheHits: 1, Canceled: 1, Panics: 1, TimedOut: 1, Retried: 2}
-	if tot != want {
+	if tot := Replay(evs); tot != want {
 		t.Fatalf("replay totals = %+v, want %+v", tot, want)
 	}
 
 	// A torn final line (crashed writer) is tolerated.
-	torn := buf.String() + `{"seq":999,"type":"done","ou`
-	tot2, _, err := Replay(strings.NewReader(torn))
-	if err != nil || tot2 != want {
-		t.Fatalf("torn replay: %+v, %v", tot2, err)
+	torn := append(buf.Bytes(), `{"seq":999,"type":"done","ou`...)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	evs, err = ReadJournal(path)
+	if err != nil || len(evs) != len(lines) || Replay(evs) != want {
+		t.Fatalf("torn replay: %d events, %+v, %v", len(evs), Replay(evs), err)
 	}
 }
 

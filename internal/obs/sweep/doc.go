@@ -2,9 +2,11 @@
 // package obs instruments one simulation, sweep instruments the fleet of
 // jobs around it. It provides a job-lifecycle event model (queued → started
 // → attempt N → cache hit/miss → panic/timeout/retry → terminal outcome), a
-// Collector the runner calls at each transition, an append-only JSONL
-// telemetry journal with a tolerant replayer, and an HTTP status server
+// Collector the runner calls at each transition, and an HTTP status server
 // (/progress, /metrics, /events, /debug/pprof) for watching a live sweep.
+// The same events, appended as JSONL, form the sweep journal: the one
+// crash record of a cached sweep, read back by the crash-tolerant
+// ReadJournal and folded into sweep totals by Replay.
 //
 // The Collector is deliberately cheap and safe to thread everywhere: every
 // recording method is nil-receiver safe (a disabled sweep pays one nil

@@ -87,13 +87,3 @@ func TestBatchKeyFoldsOpsDefault(t *testing.T) {
 		t.Errorf("default and explicit ops keys differ: %+v vs %+v", ka, kb)
 	}
 }
-
-// TestClampWorkers pins the oversubscription guard arithmetic.
-func TestClampWorkers(t *testing.T) {
-	if got := clampWorkers(8, 1); got != 8 {
-		t.Errorf("serial ticking must not clamp: got %d", got)
-	}
-	if got := clampWorkers(8, 1000); got != 1 {
-		t.Errorf("extreme tick workers must floor at 1 worker: got %d", got)
-	}
-}

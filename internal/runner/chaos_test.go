@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/sweep"
 	"repro/internal/runspec"
 	"repro/internal/sim"
 )
@@ -201,7 +202,7 @@ func TestChaosParentDeadlineClassifiedCanceled(t *testing.T) {
 }
 
 // TestChaosMidSweepCancelResume: cancellation mid-sweep drains, leaves a
-// manifest + cache, and a rerun resumes with zero re-simulated completed
+// journal + cache, and a rerun resumes with zero re-simulated completed
 // jobs.
 func TestChaosMidSweepCancelResume(t *testing.T) {
 	var mu sync.Mutex
@@ -231,18 +232,11 @@ func TestChaosMidSweepCancelResume(t *testing.T) {
 		t.Fatalf("interrupted sweep stats: %s (err=%v)", st, err)
 	}
 
-	// The manifest must already record every terminal state.
-	path := ManifestPath(cache.Dir(), jobs)
-	recs, rerr := ReadManifest(path)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	counts := map[string]int{}
-	for _, r := range recs {
-		counts[r.Kind+"/"+r.State]++
-	}
-	if counts["sweep/"] != 1 || counts["job/"+StateDone] != 2 || counts["job/"+StateCanceled] != 3 {
-		t.Fatalf("manifest after interrupt: %v", counts)
+	// The journal must already record every terminal state.
+	path := TelemetryPath(cache.Dir(), jobs)
+	counts := journalCounts(t, path)
+	if counts[sweep.EventSweepStart] != 1 || counts["done/"+sweep.OutcomeDone] != 2 || counts["done/"+sweep.OutcomeCanceled] != 3 {
+		t.Fatalf("journal after interrupt: %v", counts)
 	}
 
 	// Resume: same sweep, fresh context — completed jobs come from the
@@ -260,27 +254,39 @@ func TestChaosMidSweepCancelResume(t *testing.T) {
 		}
 	}
 
-	// The resumed run appended its own header and records to the same file.
-	recs, rerr = ReadManifest(path)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	counts = map[string]int{}
-	for _, r := range recs {
-		counts[r.Kind+"/"+r.State]++
-	}
-	if counts["sweep/"] != 2 || counts["job/"+StateCached] != 2 || counts["job/"+StateDone] != 5 {
-		t.Fatalf("manifest after resume: %v", counts)
+	// The resumed run appended its own sweep_start and events to the same
+	// file.
+	counts = journalCounts(t, path)
+	if counts[sweep.EventSweepStart] != 2 || counts["done/"+sweep.OutcomeCached] != 2 || counts["done/"+sweep.OutcomeDone] != 5 {
+		t.Fatalf("journal after resume: %v", counts)
 	}
 }
 
-// TestChaosManifestStates: panic and timeout jobs land in the manifest
-// with their own states and the terminal error text.
-func TestChaosManifestStates(t *testing.T) {
+// journalCounts tallies a sweep journal's events by type, and its done
+// events as "done/<outcome>".
+func journalCounts(t *testing.T, path string) map[string]int {
+	t.Helper()
+	evs, err := sweep.ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, ev := range evs {
+		counts[ev.Type]++
+		if ev.Type == sweep.EventDone {
+			counts["done/"+ev.Outcome]++
+		}
+	}
+	return counts
+}
+
+// TestChaosJournalStates: panic and timeout jobs land in the journal with
+// their own outcomes and the terminal error text.
+func TestChaosJournalStates(t *testing.T) {
 	stubSim(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, *sim.Summary, error) {
 		switch cfg.Seed {
 		case seedPanic:
-			panic("manifest chaos")
+			panic("journal chaos")
 		case seedHang:
 			return stubHang(ctx)
 		default:
@@ -295,57 +301,61 @@ func TestChaosManifestStates(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error")
 	}
-	recs, rerr := ReadManifest(ManifestPath(cache.Dir(), jobs))
+	evs, rerr := sweep.ReadJournal(TelemetryPath(cache.Dir(), jobs))
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	byKey := map[string]ManifestRecord{}
-	for _, r := range recs {
-		if r.Kind == "job" {
-			byKey[r.Key] = r
+	byKey := map[string]sweep.Event{}
+	for _, ev := range evs {
+		if ev.Type == sweep.EventDone {
+			byKey[ev.Key] = ev
 		}
 	}
-	if byKey["ok"].State != StateDone || byKey["boom"].State != StatePanic || byKey["wedge"].State != StateTimeout {
-		t.Fatalf("manifest states: %+v", byKey)
+	if byKey["ok"].Outcome != sweep.OutcomeDone || byKey["boom"].Outcome != sweep.OutcomePanic || byKey["wedge"].Outcome != sweep.OutcomeTimeout {
+		t.Fatalf("journal outcomes: %+v", byKey)
 	}
-	if !strings.Contains(byKey["boom"].Error, "manifest chaos") {
+	if !strings.Contains(byKey["boom"].Error, "journal chaos") {
 		t.Errorf("panic record should carry the panic message: %q", byKey["boom"].Error)
 	}
-	if byKey["wedge"].Attempts != 1 || byKey["boom"].Attempts != 1 {
-		t.Errorf("single-attempt jobs must record Attempts=1: %+v", byKey)
+	if byKey["wedge"].Attempt != 1 || byKey["boom"].Attempt != 1 {
+		t.Errorf("single-attempt jobs must record Attempt=1: %+v", byKey)
 	}
 }
 
-// TestManifestTornLineTolerated: a crash mid-append tears at most the
-// final line; ReadManifest returns every complete record before it.
-func TestManifestTornLineTolerated(t *testing.T) {
+// TestJournalTornLineTolerated: a crash mid-append tears at most the
+// final line; ReadJournal returns every complete event before it.
+func TestJournalTornLineTolerated(t *testing.T) {
+	stubSim(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, *sim.Summary, error) {
+		return stubOK(cfg)
+	})
 	cache := NewCache(t.TempDir())
 	jobs := []Job{stubJob("a", seedOK)}
-	m, err := OpenManifest(cache.Dir(), jobs)
+	if _, _, err := Run(context.Background(), Options{Parallel: 1, Cache: cache}, jobs); err != nil {
+		t.Fatal(err)
+	}
+	path := TelemetryPath(cache.Dir(), jobs)
+	whole, err := sweep.ReadJournal(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AppendJob(jobs[0], outcome{attempts: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the torn write of a crashed process.
-	f, err := os.OpenFile(m.Path(), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"kind":"job","key":"torn`); err != nil {
+	if _, err := f.WriteString(`{"seq":99,"type":"done","key":"torn`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	recs, err := ReadManifest(m.Path())
+	evs, err := sweep.ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].Kind != "sweep" || recs[1].State != StateDone {
-		t.Fatalf("torn manifest records: %+v", recs)
+	if len(evs) != len(whole) || evs[0].Type != sweep.EventSweepStart {
+		t.Fatalf("torn journal events: %+v", evs)
+	}
+	if c := journalCounts(t, path); c["done/"+sweep.OutcomeDone] != 1 {
+		t.Fatalf("torn journal lost the done event: %v", c)
 	}
 }
 

@@ -3,8 +3,8 @@
 // execution, and aggregated error reporting. Sweeps built on it are
 // resumable for free: every completed job leaves a cache entry under its
 // spec hash, so re-invoking an interrupted sweep re-simulates only the
-// missing hashes; a crash-safe JSONL manifest beside the cache records each
-// job's terminal state for post-mortems.
+// missing hashes; a crash-safe JSONL sweep journal beside the cache records
+// each job's lifecycle events, terminal state included, for post-mortems.
 //
 // Failure handling follows one taxonomy end to end: recovered panics and
 // per-job deadline expiries are retryable (Options.Retries, deterministic
@@ -17,9 +17,9 @@
 // leases alive with the Options.OnHeartbeat hook.
 //
 // Concurrency contract: Run owns the outcome slice and Stats until it
-// returns; workers write disjoint outcome entries and serialize every
-// shared side effect (done counting, OnJobDone, manifest appends) under one
-// mutex. Observer/AfterSim hooks run on worker goroutines, one job at a
+// returns; workers write disjoint outcome entries and serialize done
+// counting and OnJobDone under one mutex, while journal appends go through
+// the sweep collector's own lock. Observer/AfterSim hooks run on worker goroutines, one job at a
 // time per worker, and must not share mutable state across jobs unless
 // they synchronize it themselves. The contract is enforced by
 // `go test -race ./internal/runner/...` in scripts/check.sh.

@@ -51,11 +51,7 @@ var ErrHeartbeatCanceled = errors.New("runner: attempt abandoned on heartbeat fa
 // Options configure a batch run.
 type Options struct {
 	// Parallel bounds concurrent simulations (default: GOMAXPROCS-1,
-	// min 1). When jobs request channel-parallel ticking (TickWorkers in
-	// their specs), Run additionally clamps the worker count so that
-	// Parallel × max(TickWorkers) never exceeds GOMAXPROCS: sweep-level
-	// and run-level parallelism compose instead of oversubscribing the
-	// machine.
+	// min 1).
 	Parallel int
 	// BatchTraces groups jobs sharing a (benchmark, seed, cores, ops)
 	// trace key, generates each group's trace once, and hands every job
@@ -64,10 +60,10 @@ type Options struct {
 	// generator work is removed. LLC-filtered jobs are never batched.
 	BatchTraces bool
 	// Cache, when non-nil, serves hits and stores results by spec hash.
-	// A cache also enables the sweep manifest: an append-only JSONL file
-	// <cache-dir>/sweep-<hash>.manifest recording each job's terminal
-	// state as it happens, so an interrupted or crashed sweep is
-	// diagnosable from disk.
+	// A cache also enables the sweep journal: every job-lifecycle event,
+	// terminal states included, is appended as it happens to
+	// <cache-dir>/sweep-<hash>.telemetry.jsonl, so an interrupted or
+	// crashed sweep is diagnosable from disk (see sweep.ReadJournal).
 	Cache *Cache
 	// KeepGoing runs every job even after failures; by default the first
 	// failure cancels the queued remainder (in-flight simulations finish).
@@ -115,11 +111,10 @@ type Options struct {
 	HeartbeatEvery time.Duration
 	// Telemetry, when non-nil, receives a job-lifecycle event at every
 	// transition: queued → started → attempt N → cache hit/miss →
-	// panic/timeout/retry → terminal outcome. When a Cache is also
-	// configured, the events are journaled to
-	// <cache-dir>/sweep-<hash>.telemetry.jsonl beside the sweep manifest
-	// (append-only JSONL, replayable with sweep.Replay). A nil collector
-	// costs one nil check per transition and changes nothing else.
+	// panic/timeout/retry → terminal outcome. With a Cache, Run writes the
+	// sweep journal through this collector, or through a private one when
+	// it is nil. Without a Cache, a nil collector costs one nil check per
+	// transition and changes nothing else.
 	Telemetry *sweep.Collector
 
 	// batch holds the sweep's shared trace snapshots (built by Run when
@@ -137,23 +132,6 @@ func (o Options) parallel() int {
 		p = 1
 	}
 	return p
-}
-
-// clampWorkers bounds the sweep's worker count so that worker goroutines ×
-// per-run tick workers fit the machine. maxTick is the largest TickWorkers
-// requested by any job (≥ 1).
-func clampWorkers(workers, maxTick int) int {
-	if maxTick <= 1 {
-		return workers
-	}
-	lim := runtime.GOMAXPROCS(0) / maxTick
-	if lim < 1 {
-		lim = 1
-	}
-	if workers > lim {
-		return lim
-	}
-	return workers
 }
 
 // runSim is the simulation entry point, returning both the live result
@@ -216,25 +194,23 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 
 	outcomes := make([]outcome, len(jobs))
 
-	var manifest *Manifest
-	var manifestErr error
-	if opts.Cache != nil {
-		manifest, manifestErr = OpenManifest(opts.Cache.Dir(), jobs)
+	// Journal lifecycle events when a cache is configured — through the
+	// caller's collector, or a private one so a cache-only sweep keeps its
+	// crash record — and record the whole job set as queued before any
+	// worker starts.
+	if opts.Cache != nil && opts.Telemetry == nil {
+		opts.Telemetry = sweep.New()
 	}
-
-	// Telemetry: journal lifecycle events beside the manifest when both a
-	// collector and a cache are configured, and record the whole job set as
-	// queued before any worker starts.
 	tel := opts.Telemetry
-	var telFile *os.File
-	var telErr error
-	if tel != nil {
-		if opts.Cache != nil {
-			telFile, telErr = openTelemetry(opts.Cache.Dir(), jobs)
-			if telErr == nil {
-				tel.AttachSink(telFile)
-			}
+	var journal *os.File
+	var journalErr error
+	if opts.Cache != nil {
+		journal, journalErr = openJournal(opts.Cache.Dir(), jobs)
+		if journalErr == nil {
+			tel.AttachSink(journal)
 		}
+	}
+	if tel != nil {
 		tel.SweepStart(len(jobs))
 		for _, j := range jobs {
 			h, _ := j.Spec.Hash()
@@ -247,18 +223,13 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 	// multi-thousand-job sweep never materializes one goroutine per job.
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	var mu sync.Mutex // serializes done counting, OnJobDone, manifest appends
+	var mu sync.Mutex // serializes done counting and OnJobDone
 	done := 0
 	report := func(i int) {
 		mu.Lock()
 		defer mu.Unlock()
 		done++
 		out := outcomes[i]
-		if manifest != nil {
-			if err := manifest.AppendJob(jobs[i], out); err != nil && manifestErr == nil {
-				manifestErr = err
-			}
-		}
 		if opts.Stats != nil {
 			opts.Stats.accumulate(out)
 		}
@@ -280,13 +251,6 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	maxTick := 1
-	for _, j := range jobs {
-		if j.Spec.TickWorkers > maxTick {
-			maxTick = j.Spec.TickWorkers
-		}
-	}
-	workers = clampWorkers(workers, maxTick)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -326,44 +290,18 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 	if stats.Canceled > 0 {
 		errs = append(errs, fmt.Errorf("runner: %d jobs canceled before running (completed results are cached; rerun to resume)", stats.Canceled))
 	}
-	if manifest != nil {
-		if err := manifest.Close(); err != nil && manifestErr == nil {
-			manifestErr = err
-		}
-	}
-	if manifestErr != nil {
-		errs = append(errs, fmt.Errorf("runner: sweep manifest: %w", manifestErr))
-	}
 	if tel != nil {
 		tel.SweepEnd()
+	}
+	if journal != nil {
+		// Detach, then sync and close: the flush half of the SIGINT drain.
 		tel.AttachSink(nil)
-		if err := tel.SinkErr(); err != nil && telErr == nil {
-			telErr = err
-		}
-		if telFile != nil {
-			serr := telFile.Sync()
-			cerr := telFile.Close()
-			if telErr == nil && serr != nil {
-				telErr = serr
-			}
-			if telErr == nil && cerr != nil {
-				telErr = cerr
-			}
-		}
-		if telErr != nil {
-			errs = append(errs, fmt.Errorf("runner: sweep telemetry: %w", telErr))
-		}
+		journalErr = errors.Join(tel.SinkErr(), journal.Sync(), journal.Close())
+	}
+	if journalErr != nil {
+		errs = append(errs, fmt.Errorf("runner: sweep journal: %w", journalErr))
 	}
 	return results, stats, errors.Join(errs...)
-}
-
-// openTelemetry opens (creating dir as needed) the append-only telemetry
-// journal for this job set.
-func openTelemetry(dir string, jobs []Job) (*os.File, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return os.OpenFile(TelemetryPath(dir, jobs), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
 // runJob resolves one job: cache hit → load, miss → simulate (with

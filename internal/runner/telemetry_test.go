@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -13,16 +14,17 @@ import (
 
 // replayTotals converts sweep.Totals into a Stats for direct comparison
 // against the runner's returned counters — the two vocabularies are defined
-// to map one-for-one (outcomeState is shared by the manifest and telemetry).
+// to map one-for-one (outcomeState classifies into sweep.Outcome*).
 func replayTotals(t *testing.T, path string) Stats {
 	t.Helper()
-	tot, n, err := sweep.ReplayFile(path)
+	evs, err := sweep.ReadJournal(path)
 	if err != nil {
-		t.Fatalf("replay %s: %v", path, err)
+		t.Fatalf("read journal %s: %v", path, err)
 	}
-	if n == 0 {
+	if len(evs) == 0 {
 		t.Fatalf("telemetry journal %s is empty", path)
 	}
+	tot := sweep.Replay(evs)
 	return Stats{
 		Jobs: int64(tot.Jobs), Simulated: int64(tot.Simulated), CacheHits: int64(tot.CacheHits),
 		Failures: int64(tot.Failures), Canceled: int64(tot.Canceled), Panics: int64(tot.Panics),
@@ -133,6 +135,38 @@ func TestTelemetryCanceledJobsJournaled(t *testing.T) {
 	}
 	if got := replayTotals(t, TelemetryPath(dir, jobs)); got != st {
 		t.Fatalf("replayed totals diverge:\n  replay: %s\n  stats:  %s", got, st)
+	}
+}
+
+// TestCacheOnlyRunJournals: a cache without a collector still journals
+// through a private one — the journal replays to the returned Stats — and
+// the journal is the only sweep record in the cache directory.
+func TestCacheOnlyRunJournals(t *testing.T) {
+	stubSim(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, *sim.Summary, error) {
+		if cfg.Seed == seedPanic {
+			panic("cache-only chaos")
+		}
+		return stubOK(cfg)
+	})
+	dir := t.TempDir()
+	cache := NewCache(dir)
+	jobs := []Job{stubJob("a", seedOK), stubJob("boom", seedPanic), stubJob("b", seedOK+10)}
+	_, st, err := Run(context.Background(), Options{Parallel: 1, Cache: cache, KeepGoing: true}, jobs)
+	if err == nil {
+		t.Fatal("want error from the panicking job")
+	}
+	if st.Simulated != 2 || st.Failures != 1 || st.Panics != 1 {
+		t.Fatalf("stats: %s", st)
+	}
+	if got := replayTotals(t, TelemetryPath(dir, jobs)); got != st {
+		t.Fatalf("replayed totals diverge:\n  replay: %s\n  stats:  %s", got, st)
+	}
+	sweeps, err := filepath.Glob(filepath.Join(dir, "sweep-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sweeps) != 1 || sweeps[0] != TelemetryPath(dir, jobs) {
+		t.Fatalf("sweep records in the cache dir: %v, want only the journal", sweeps)
 	}
 }
 

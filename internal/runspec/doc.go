@@ -8,11 +8,11 @@
 //
 // The hash is deliberately narrower than the spec: Normalized folds the
 // simulator's defaulting rules (an unset knob and an explicitly-set
-// default are the same run) and zeroes execution-only knobs like
-// TickWorkers that change wall-clock behavior but not results. That makes
-// hashes — and therefore cache entries, sweep manifests, and farm result
-// corpora — invariant across worker counts and host machines: any two
-// machines that agree on a spec's canonical JSON agree on its identity.
+// default are the same run) and zeroes a deprecated, ignored field that
+// old spec files may still carry. That makes
+// hashes — and therefore cache entries, sweep journals, and farm result
+// corpora — invariant across host machines: any two machines that agree
+// on a spec's canonical JSON agree on its identity.
 //
 // Batches (batch.go) extend the same discipline to job lists: a Named
 // pairs a display key with a spec, ReadBatch/WriteBatch define the on-disk

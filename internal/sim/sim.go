@@ -67,12 +67,6 @@ type Config struct {
 	LLCMBPerCore int
 	// StrictVerify disables speculative verification.
 	StrictVerify bool
-	// TickWorkers, when > 1, ticks independent DRAM channels on a
-	// persistent worker pool with a cycle barrier. Purely an execution
-	// knob: results are bit-identical to serial ticking (the registry
-	// equivalence test pins this), so it never participates in run
-	// hashing. Useful only when Channels > 1.
-	TickWorkers int
 	// DisableIdleSkip forces the straight-line tick-by-tick loop, never
 	// fast-forwarding through idle periods. Results are bit-identical with
 	// and without skipping (the golden equivalence test asserts this); the
@@ -352,11 +346,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		Timing: timing,
 		Geom:   geom,
 		ReadQ:  48, WriteQ: 48, HighWM: 40, LowWM: 20,
-		TickWorkers: cfg.TickWorkers,
 	})
-	// Stop the channel-parallel tick workers (if any) when the run ends;
-	// the Memory's stats stay readable through the returned Result.
-	defer dmem.Close()
 	dataPages := uint64(float64(geom.CapacityBytes())*cfg.DataFrac) / mem.PageSize
 	var encl *enclave.System
 	if cfg.DenseAlloc {
