@@ -62,7 +62,7 @@ const (
 func Routes() []Route {
 	return []Route{
 		{Method: "POST", Path: PathSubmit, Doc: "submit a sweep (idempotent by content hash); returns the sweep ID"},
-		{Method: "GET", Path: PathSweep, Doc: "sweep status: per-job states plus aggregate counts ({sweep} suffix)"},
+		{Method: "GET", Path: PathSweep, Doc: "sweep status: counts, a cursor, per-job rows (with ?since=CURSOR only rows changed since; {sweep} suffix)"},
 		{Method: "GET", Path: PathResult, Doc: "one run's summary by spec content hash ({hash} suffix)"},
 		{Method: "POST", Path: PathLease, Doc: "long-poll lease of the next queued job (worker pull)"},
 		{Method: "POST", Path: PathHeartbeat, Doc: "renew a live lease before its TTL lapses"},
@@ -210,8 +210,12 @@ type JobStatus struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// SweepStatus is the full state of one sweep. Complete is true once every
-// job is terminal (done, cached, or failed).
+// SweepStatus is the state of one sweep. The counts cover every job;
+// Complete is true once every job is terminal (done, cached, or failed).
+// Jobs holds every row, or — when the request carried a since cursor from
+// the same coordinator lifetime — only the rows whose job changed state
+// after that cursor. Cursor is opaque: pass it back as since to get the
+// next delta. A cursor from an earlier lifetime gets the full table.
 type SweepStatus struct {
 	Sweep    string      `json:"sweep"`
 	Queued   int         `json:"queued"`
@@ -220,8 +224,13 @@ type SweepStatus struct {
 	Cached   int         `json:"cached"`
 	Failed   int         `json:"failed"`
 	Complete bool        `json:"complete"`
+	Cursor   string      `json:"cursor"`
 	Jobs     []JobStatus `json:"jobs"`
 }
+
+// QuerySince names the GET PathSweep query parameter carrying a
+// SweepStatus.Cursor.
+const QuerySince = "since"
 
 // ResultResponse is one run's result: the summary plus the spec that
 // produced it, mirroring the runner's self-describing cache entries.

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"time"
@@ -283,10 +284,20 @@ func (c *Client) Register(ctx context.Context, req api.RegisterRequest) (*api.Re
 	return &resp, nil
 }
 
-// Sweep fetches a sweep's status.
+// Sweep fetches a sweep's status with every job row.
 func (c *Client) Sweep(ctx context.Context, id string) (*api.SweepStatus, error) {
+	return c.sweepSince(ctx, id, "")
+}
+
+// sweepSince fetches a sweep's status with only the rows changed since
+// cursor (every row when cursor is empty or foreign to the coordinator).
+func (c *Client) sweepSince(ctx context.Context, id, cursor string) (*api.SweepStatus, error) {
+	path := api.PathSweep + id
+	if cursor != "" {
+		path += "?" + url.Values{api.QuerySince: {cursor}}.Encode()
+	}
 	var resp api.SweepStatus
-	if err := c.doRetry(ctx, http.MethodGet, api.PathSweep+id, nil, &resp); err != nil {
+	if err := c.doRetry(ctx, http.MethodGet, path, nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -306,11 +317,14 @@ func (c *Client) Result(ctx context.Context, hash string) (*api.ResultResponse, 
 // of runner.Run. Progress is event-driven when the coordinator's /events
 // stream is available (each lifecycle event triggers a status re-fetch,
 // with a coarse safety poll underneath); when streaming is unavailable or
-// dies, RunSweep falls back to polling with jittered backoff. onDone, when
-// non-nil, is called as jobs reach terminal states (serialized, with
-// monotonically increasing done counts). Failed jobs are reported like the
-// runner reports them: one error per failed job, joined, with every
-// missing key accounted for.
+// dies, RunSweep falls back to polling with jittered backoff. Each
+// re-fetch asks only for the rows changed since the previous one and
+// merges them by key, so a sweep's status traffic grows with its job
+// count, not with the job count times the wake-ups. onDone, when non-nil,
+// is called once per key as jobs reach terminal states (serialized, with
+// monotonically increasing done counts out of the sweep's size). Failed
+// jobs are reported like the runner reports them: one error per failed
+// job, joined, with every missing key accounted for.
 func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func(done, total int, key string, cached bool)) (map[string]*sim.Summary, error) {
 	sub, err := c.Submit(ctx, jobs)
 	if err != nil {
@@ -320,13 +334,22 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 	defer wcancel()
 	events := c.openEvents(wctx)
 
+	rows := make(map[string]api.JobStatus, sub.Jobs) // the merged table
+	var keys []string                                // rows' keys, first-seen order
 	reported := map[string]bool{}
 	backoff := c.pollBase
-	var st *api.SweepStatus
+	var cursor string
 	for {
-		st, err = c.Sweep(ctx, sub.Sweep)
+		st, err := c.sweepSince(ctx, sub.Sweep, cursor)
 		if err != nil {
 			return nil, err
+		}
+		cursor = st.Cursor
+		for _, j := range st.Jobs {
+			if _, seen := rows[j.Key]; !seen {
+				keys = append(keys, j.Key)
+			}
+			rows[j.Key] = j
 		}
 		progressed := false
 		if onDone != nil {
@@ -341,7 +364,7 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 			for _, j := range fresh {
 				reported[j.Key] = true
 				progressed = true
-				onDone(len(reported), len(st.Jobs), j.Key, j.State == api.StateCached)
+				onDone(len(reported), sub.Jobs, j.Key, j.State == api.StateCached)
 			}
 		}
 		if st.Complete {
@@ -375,9 +398,10 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 		}
 	}
 
-	results := make(map[string]*sim.Summary, len(st.Jobs))
+	results := make(map[string]*sim.Summary, len(rows))
 	var errs []error
-	for _, j := range st.Jobs {
+	for _, key := range keys {
+		j := rows[key]
 		if j.State == api.StateFailed {
 			errs = append(errs, fmt.Errorf("%s: %s", j.Key, j.Error))
 			continue

@@ -2,11 +2,12 @@ package farm
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -68,6 +69,7 @@ type job struct {
 	expiry   time.Time
 	summary  *runner.Entry
 	errText  string
+	ver      uint64 // Coordinator.ver at the job's last state change
 }
 
 // Coordinator owns the farm's job state machine: a durable pull queue of
@@ -95,7 +97,12 @@ type Coordinator struct {
 	quit     chan struct{} // closed by Shutdown: long-polls return empty
 	quitOnce sync.Once
 
+	// life names this coordinator lifetime in sweep-status cursors, so a
+	// cursor minted before a restart is recognised as foreign.
+	life string
+
 	mu        sync.Mutex
+	ver       uint64          // bumped by every job state change (setState)
 	jobs      map[string]*job // by spec hash
 	queue     []string        // pending hashes, FIFO
 	leases    map[string]*job // live leases by lease ID
@@ -148,6 +155,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		cache:   runner.NewCache(cfg.CacheDir),
+		life:    fmt.Sprintf("%016x", rand.Uint64()),
 		quit:    make(chan struct{}),
 		jobs:    map[string]*job{},
 		leases:  map[string]*job{},
@@ -203,32 +211,20 @@ func (c *Coordinator) record(rec JournalRecord) {
 	}
 }
 
+// setState moves j to state and stamps it with the next version, so every
+// sweep-status delta minted before this change carries the job's row. Each
+// state change after replay goes through here; the row's other fields
+// (attempts, worker, error) change only alongside one. Callers hold c.mu.
+func (c *Coordinator) setState(j *job, state string) {
+	c.ver++
+	j.ver = c.ver
+	j.state = state
+}
+
 // notify wakes every long-polling Lease call. Callers hold c.mu.
 func (c *Coordinator) notify() {
 	close(c.wake)
 	c.wake = make(chan struct{})
-}
-
-// SweepID names a job set by content: the hex SHA-256 over the sorted spec
-// hashes — the same construction as the runner's SweepHash, so a sweep
-// submitted to a farm and the identical sweep run in-process share one
-// identity. Submission order does not matter.
-func SweepID(jobs []runspec.Named) (string, error) {
-	hashes := make([]string, 0, len(jobs))
-	for _, j := range jobs {
-		h, err := j.Spec.Hash()
-		if err != nil {
-			return "", fmt.Errorf("farm: job %s: %w", j.Key, err)
-		}
-		hashes = append(hashes, h)
-	}
-	sort.Strings(hashes)
-	sum := sha256.New()
-	for _, h := range hashes {
-		sum.Write([]byte(h))
-		sum.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(sum.Sum(nil)), nil
 }
 
 // Submit registers a sweep and returns its content-derived ID. Submission
@@ -241,21 +237,31 @@ func (c *Coordinator) Submit(jobs []runspec.Named) (*api.SubmitResponse, error) 
 	if err := runspec.ValidateBatch(jobs); err != nil {
 		return nil, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
 	}
-	id, err := SweepID(jobs)
-	if err != nil {
-		return nil, &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
+	// Hash each spec once, before taking the lock: the sweep ID and every
+	// fresh job's spec come from this one pass. Of several jobs sharing a
+	// hash, the first supplies the job's spec.
+	hashes := make([]string, len(jobs))
+	specs := make(map[string]runspec.Spec, len(jobs))
+	for i, nj := range jobs {
+		h, err := nj.Spec.Hash()
+		if err != nil {
+			return nil, &api.Error{Code: api.CodeBadRequest, Message: fmt.Sprintf("farm: job %s: %v", nj.Key, err)}
+		}
+		hashes[i] = h
+		if _, ok := specs[h]; !ok {
+			specs[h] = nj.Spec
+		}
 	}
+	id := runspec.SweepID(hashes)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
 	st := c.sweeps[id]
 	if st == nil {
-		st = &sweepState{}
-		for _, nj := range jobs {
-			h, _ := nj.Spec.Hash()
-			st.hashes = append(st.hashes, h)
-			st.keys = append(st.keys, nj.Key)
+		st = &sweepState{hashes: hashes, keys: make([]string, len(jobs))}
+		for i, nj := range jobs {
+			st.keys[i] = nj.Key
 		}
 		c.sweeps[id] = st
 		c.record(JournalRecord{Kind: "submit", Sweep: id, Jobs: len(jobs), Keys: st.keys, Hashes: st.hashes})
@@ -268,13 +274,7 @@ func (c *Coordinator) Submit(jobs []runspec.Named) (*api.SubmitResponse, error) 
 		j := c.jobs[h]
 		if j == nil {
 			fresh++
-			j = &job{key: st.keys[i], hash: h, state: api.StateQueued}
-			for _, nj := range jobs {
-				if jh, _ := nj.Spec.Hash(); jh == h {
-					j.spec = nj.Spec
-					break
-				}
-			}
+			j = &job{key: st.keys[i], hash: h, spec: specs[h]}
 			c.jobs[h] = j
 			c.cfg.Collector.JobQueued(j.key, h)
 			// Spec rides in the journal record so a restarted coordinator
@@ -282,12 +282,13 @@ func (c *Coordinator) Submit(jobs []runspec.Named) (*api.SubmitResponse, error) 
 			sp := j.spec
 			if sum, ok := c.cache.Load(h); ok {
 				// Corpus hit: the sweep short-circuits dispatch entirely.
-				j.state = api.StateCached
+				c.setState(j, api.StateCached)
 				j.summary = &runner.Entry{Hash: h, Spec: j.spec.Normalized(), Summary: sum}
 				c.cfg.Collector.CacheHit(j.key)
 				c.cfg.Collector.JobDone(j.key, sweep.OutcomeCached, 0, "")
 				c.record(JournalRecord{Kind: "cached", Sweep: id, Key: j.key, Hash: h, Spec: &sp})
 			} else {
+				c.setState(j, api.StateQueued)
 				c.queue = append(c.queue, h)
 				queuedNew = true
 				c.record(JournalRecord{Kind: "queued", Sweep: id, Key: j.key, Hash: h, Spec: &sp})
@@ -368,7 +369,7 @@ func (c *Coordinator) leaseLocked(worker string) *api.Lease {
 		}
 		now := c.cfg.Clock()
 		c.leaseSeq++
-		j.state = api.StateLeased
+		c.setState(j, api.StateLeased)
 		j.attempts++
 		j.lease = fmt.Sprintf("l%d-%.8s", c.leaseSeq, h)
 		j.worker = worker
@@ -437,7 +438,7 @@ func (c *Coordinator) Complete(req api.CompleteRequest) (string, error) {
 				c.jerr = err
 			}
 		}
-		j.state = api.StateDone
+		c.setState(j, api.StateDone)
 		j.summary = &runner.Entry{Hash: j.hash, Spec: j.spec.Normalized(), Summary: req.Summary}
 		c.cfg.Collector.JobDone(j.key, sweep.OutcomeDone, j.attempts, "")
 		c.record(JournalRecord{Kind: "done", Key: j.key, Hash: j.hash, Worker: j.worker, Attempts: j.attempts})
@@ -460,7 +461,7 @@ func (c *Coordinator) Complete(req api.CompleteRequest) (string, error) {
 // retryable, otherwise mark it failed. Callers hold c.mu.
 func (c *Coordinator) requeueOrFailLocked(j *job, errText string, retryable bool) {
 	if retryable && j.attempts <= c.cfg.Retries {
-		j.state = api.StateQueued
+		c.setState(j, api.StateQueued)
 		j.worker = ""
 		c.queue = append(c.queue, j.hash)
 		c.cfg.Collector.JobRetry(j.key, j.attempts)
@@ -468,7 +469,7 @@ func (c *Coordinator) requeueOrFailLocked(j *job, errText string, retryable bool
 		c.notify()
 		return
 	}
-	j.state = api.StateFailed
+	c.setState(j, api.StateFailed)
 	j.errText = errText
 	if errText == "" {
 		j.errText = "job failed"
@@ -522,9 +523,17 @@ func (c *Coordinator) StartExpiry(ctx context.Context, interval time.Duration) {
 	}()
 }
 
-// Sweep reports the state of a submitted sweep, with per-job rows in
-// submission order under that sweep's own keys.
-func (c *Coordinator) Sweep(id string) (*api.SweepStatus, error) {
+// Sweep reports the state of a submitted sweep: counts over all its jobs,
+// and per-job rows in submission order under that sweep's own keys. An
+// empty since, or a cursor minted by an earlier coordinator lifetime,
+// gets every row; a cursor from this lifetime gets only the rows whose job
+// changed state after it was minted. The response's Cursor marks the
+// state it reports, for the next call. A malformed cursor is bad_request.
+func (c *Coordinator) Sweep(id, since string) (*api.SweepStatus, error) {
+	after, delta, err := c.parseCursor(since)
+	if err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(c.cfg.Clock())
@@ -532,10 +541,9 @@ func (c *Coordinator) Sweep(id string) (*api.SweepStatus, error) {
 	if st == nil {
 		return nil, &api.Error{Code: api.CodeNotFound, Message: fmt.Sprintf("sweep %s is unknown", id)}
 	}
-	out := &api.SweepStatus{Sweep: id, Complete: true}
+	out := &api.SweepStatus{Sweep: id, Complete: true, Jobs: []api.JobStatus{}}
 	for i, h := range st.hashes {
 		j := c.jobs[h]
-		row := api.JobStatus{Key: st.keys[i], Hash: h, State: j.state, Attempts: j.attempts, Worker: j.worker, Error: j.errText}
 		switch j.state {
 		case api.StateQueued:
 			out.Queued++
@@ -550,9 +558,30 @@ func (c *Coordinator) Sweep(id string) (*api.SweepStatus, error) {
 		case api.StateFailed:
 			out.Failed++
 		}
-		out.Jobs = append(out.Jobs, row)
+		if delta && j.ver <= after {
+			continue
+		}
+		out.Jobs = append(out.Jobs, api.JobStatus{Key: st.keys[i], Hash: h, State: j.state, Attempts: j.attempts, Worker: j.worker, Error: j.errText})
 	}
+	out.Cursor = c.life + "-" + strconv.FormatUint(c.ver, 10)
 	return out, nil
+}
+
+// parseCursor decodes a sweep-status cursor ("<lifetime>-<version>", both
+// minted by Sweep). delta is false for an empty cursor or one from another
+// coordinator lifetime: the caller then serves the full table, so a client
+// that rides out a restart never misses a row.
+func (c *Coordinator) parseCursor(cursor string) (after uint64, delta bool, err error) {
+	if cursor == "" {
+		return 0, false, nil
+	}
+	life, ver, ok := strings.Cut(cursor, "-")
+	_, lerr := strconv.ParseUint(life, 16, 64)
+	after, verr := strconv.ParseUint(ver, 10, 64)
+	if !ok || len(life) != 16 || lerr != nil || verr != nil {
+		return 0, false, &api.Error{Code: api.CodeBadRequest, Message: fmt.Sprintf("malformed sweep cursor %q", cursor)}
+	}
+	return after, life == c.life, nil
 }
 
 // Result returns one run's summary by spec content hash. It serves
@@ -560,17 +589,24 @@ func (c *Coordinator) Sweep(id string) (*api.SweepStatus, error) {
 // from earlier coordinator lifetimes (or written by out-of-band sweeps
 // sharing the directory) remain addressable.
 func (c *Coordinator) Result(hash string) (*api.ResultResponse, error) {
+	// Copy the job's fields under the lock: Complete and the expiry path
+	// rewrite them concurrently. A stored Entry is never mutated.
 	c.mu.Lock()
 	j := c.jobs[hash]
+	var state, errText string
+	var entry *runner.Entry
+	if j != nil {
+		state, errText, entry = j.state, j.errText, j.summary
+	}
 	c.mu.Unlock()
 	if j != nil {
-		switch j.state {
+		switch state {
 		case api.StateDone, api.StateCached:
-			return &api.ResultResponse{Hash: hash, Spec: j.summary.Spec, Summary: j.summary.Summary}, nil
+			return &api.ResultResponse{Hash: hash, Spec: entry.Spec, Summary: entry.Summary}, nil
 		case api.StateFailed:
-			return nil, &api.Error{Code: api.CodeNotFound, Message: fmt.Sprintf("job %s failed: %s", hash, j.errText)}
+			return nil, &api.Error{Code: api.CodeNotFound, Message: fmt.Sprintf("job %s failed: %s", hash, errText)}
 		default:
-			return nil, &api.Error{Code: api.CodeNotReady, Message: fmt.Sprintf("job %s is %s", hash, j.state)}
+			return nil, &api.Error{Code: api.CodeNotReady, Message: fmt.Sprintf("job %s is %s", hash, state)}
 		}
 	}
 	if sum, ok := c.cache.Load(hash); ok {

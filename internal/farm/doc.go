@@ -8,12 +8,13 @@
 //
 // The design reuses, rather than re-invents, the existing pieces:
 //
-//   - Identity is the runspec content hash everywhere. A sweep's ID is a
-//     hash over its jobs' spec hashes (the runner's SweepHash
-//     construction), so submission is idempotent and a farm sweep and the
-//     identical in-process sweep name the same work. Hashes fold
-//     defaults (runspec.Spec.Normalized), so the corpus is shareable
-//     across machines with different worker/core counts.
+//   - Identity is the runspec content hash everywhere. A sweep's ID is
+//     runspec.SweepID over its jobs' spec hashes — the value that also
+//     names the runner's sweep journals — so submission is idempotent and
+//     a farm sweep and the identical in-process sweep name the same work.
+//     Submit hashes each spec once, outside the coordinator's lock.
+//     Hashes fold defaults (runspec.Spec.Normalized), so the corpus is
+//     shareable across machines with different worker/core counts.
 //   - The shared result corpus is a runner.Cache: the same on-disk layout
 //     as a local .runcache, fed by every worker's pushed results. A
 //     submitted job whose hash is already in the corpus is satisfied
@@ -31,6 +32,14 @@
 //     like a local sweep. Every state transition is also journaled to an
 //     append-only farm-journal.jsonl beside the corpus (the crash-safe
 //     whole-line-append idiom of the runner's sweep journal).
+//   - Sweep status is served as deltas. Every job state change takes the
+//     next value of a coordinator-wide version counter; a status response
+//     carries an opaque cursor naming the coordinator lifetime and that
+//     counter, and a request passing it back as ?since= gets only the
+//     rows changed after it (counts always cover the whole sweep). A
+//     cursor from another lifetime gets the full table, so Client.RunSweep
+//     — which fetches the full table once, then merges deltas by key —
+//     rides out a coordinator restart without missing a row.
 //
 // See DESIGN.md's "Sweep farm" chapter for the endpoint, lease, and
 // state-machine reference, and examples/farm for a runnable walkthrough.

@@ -198,7 +198,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	st, err := c.Sweep(r.PathValue("sweep"))
+	st, err := c.Sweep(r.PathValue("sweep"), r.URL.Query().Get(api.QuerySince))
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -1,36 +1,28 @@
 package runner
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/obs/sweep"
+	"repro/internal/runspec"
 )
 
-// SweepHash names a job set: the hex SHA-256 over the sorted spec hashes.
-// It is order-independent, so the same sweep resumed (or re-sharded) maps
-// to the same journal file. Jobs whose specs cannot hash contribute a
-// fixed placeholder — they fail at run time with a spec error anyway.
+// SweepHash names a job set by runspec.SweepID over its spec hashes, so
+// the same sweep resumed (or re-sharded, or submitted to a farm) maps to
+// the same journal file. Jobs whose specs cannot hash contribute a fixed
+// placeholder — they fail at run time with a spec error anyway.
 func SweepHash(jobs []Job) string {
-	hashes := make([]string, 0, len(jobs))
-	for _, j := range jobs {
+	hashes := make([]string, len(jobs))
+	for i, j := range jobs {
 		h, err := j.Spec.Hash()
 		if err != nil {
 			h = "unhashable"
 		}
-		hashes = append(hashes, h)
+		hashes[i] = h
 	}
-	sort.Strings(hashes)
-	sum := sha256.New()
-	for _, h := range hashes {
-		sum.Write([]byte(h))
-		sum.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(sum.Sum(nil))
+	return runspec.SweepID(hashes)
 }
 
 // TelemetryPath returns the sweep journal for a job set under dir: the

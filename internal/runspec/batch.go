@@ -1,9 +1,12 @@
 package runspec
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Named pairs a display key with a spec: one job of a batch. Key is the
@@ -48,6 +51,22 @@ func WriteBatch(w io.Writer, jobs []Named) error {
 		return fmt.Errorf("runspec: batch: %w", err)
 	}
 	return nil
+}
+
+// SweepID names a job set by content: the hex SHA-256 over its jobs' spec
+// hashes, sorted, one per line. It takes hashes the caller already
+// computed, so a caller that needs them anyway hashes each spec once.
+// Order-independent: the same jobs in any order name the same sweep. The
+// runner's sweep journals and the farm's sweep IDs are both this value.
+func SweepID(hashes []string) string {
+	sorted := slices.Clone(hashes)
+	slices.Sort(sorted)
+	sum := sha256.New()
+	for _, h := range sorted {
+		sum.Write([]byte(h))
+		sum.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(sum.Sum(nil))
 }
 
 // ValidateBatch checks a job list as a unit: non-empty, every key present

@@ -16,8 +16,10 @@
 //
 // Batches (batch.go) extend the same discipline to job lists: a Named
 // pairs a display key with a spec, ReadBatch/WriteBatch define the on-disk
-// and on-wire batch format, and ValidateBatch rejects duplicate keys and
-// unresolvable specs before any simulation is scheduled. The farm
+// and on-wire batch format, ValidateBatch rejects duplicate keys and
+// unresolvable specs before any simulation is scheduled, and SweepID names
+// a job set by its spec hashes (the runner's sweep journals and the farm's
+// sweep IDs). The farm
 // submission API (internal/farm/api) and the simfarm client both speak
 // this format.
 package runspec

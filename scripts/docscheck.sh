@@ -12,8 +12,11 @@
 #  4. Farm endpoint drift: every route served by the coordinator
 #     (`simfarmd -routes`) must appear in DESIGN.md's "Sweep farm"
 #     endpoint table, so new API surface cannot ship undocumented.
+#  5. Route-transcript drift: examples/farm/README.md quotes the
+#     `simfarmd -routes` table; every line it prints must appear there
+#     verbatim, so a route or its description cannot change unquoted.
 #
-# POSIX sh + grep/sed only (plus the repo's own go toolchain for 3 and 4).
+# POSIX sh + grep/sed only (plus the repo's own go toolchain for 3 to 5).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -69,7 +72,8 @@ done
 # DESIGN.md's table writes parameterized paths as /v1/sweeps/{sweep}; the
 # route table prints the mux prefix /v1/sweeps/, which is a substring of
 # the documented form, so a fixed-string grep covers both shapes.
-routes=$(go run ./cmd/simfarmd -routes | awk '{print $2}')
+table=$(go run ./cmd/simfarmd -routes)
+routes=$(printf '%s\n' "$table" | awk '{print $2}')
 if [ -z "$routes" ]; then
     echo "docscheck: 'simfarmd -routes' produced no endpoints" >&2
     fail=1
@@ -80,6 +84,20 @@ for r in $routes; do
         fail=1
     fi
 done
+
+# --- 5. the examples/farm routes transcript matches the route table -------
+if ! printf '%s\n' "$table" | {
+    ok=0
+    while IFS= read -r line; do
+        if ! grep -qxF -- "$line" examples/farm/README.md; then
+            echo "docscheck: examples/farm/README.md does not quote this 'simfarmd -routes' line: $line" >&2
+            ok=1
+        fi
+    done
+    exit "$ok"
+}; then
+    fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "docscheck: FAILED" >&2
