@@ -37,7 +37,6 @@ func main() {
 	bench := flag.String("bench", "", "comma-separated benchmark subset (default: experiment's own)")
 	seed := flag.Int64("seed", 42, "trace generation seed")
 	parallel := flag.Int("parallel", 0, "concurrent simulations (default: CPUs-1)")
-	batch := flag.Bool("batch", false, "share trace generation across jobs with the same (benchmark, seed, cores, ops) key instead of regenerating per run")
 	farmAddr := flag.String("farm", "", "run every sweep on the simfarmd coordinator at this address instead of in-process (results bit-identical; the farm corpus serves cache hits)")
 	farmCA := flag.String("farm-ca", "", "with -farm: CA bundle (PEM) pinning the coordinator's TLS certificate; implies https")
 	farmCert := flag.String("farm-cert", "", "with -farm: client TLS certificate (PEM) for mutual TLS; requires -farm-key")
@@ -108,7 +107,6 @@ func main() {
 		OpsPerCore:  *ops,
 		Seed:        *seed,
 		Parallel:    *parallel,
-		BatchTraces: *batch,
 		FarmAddr:    *farmAddr,
 		FarmCA:      *farmCA,
 		FarmCert:    *farmCert,

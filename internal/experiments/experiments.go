@@ -40,10 +40,6 @@ type Options struct {
 	Seed int64
 	// Parallel is the number of concurrent simulations (default: CPUs).
 	Parallel int
-	// BatchTraces groups jobs sharing a (benchmark, seed, cores, ops)
-	// trace and generates that trace once per group, handing each job an
-	// immutable shared snapshot (runner.Options.BatchTraces).
-	BatchTraces bool
 	// W receives the printed table (default os.Stdout).
 	W io.Writer
 	// CacheDir, when non-empty, enables the content-addressed result
@@ -251,13 +247,12 @@ func runBatch(o Options, jobs []job) (map[string]*sim.Summary, error) {
 		return runBatchFarm(o, jobs)
 	}
 	ropts := runner.Options{
-		Parallel:    o.Parallel,
-		BatchTraces: o.BatchTraces,
-		KeepGoing:   o.KeepGoing,
-		JobTimeout:  o.JobTimeout,
-		Retries:     o.Retries,
-		Stats:       o.RunnerStats,
-		Telemetry:   o.Telemetry,
+		Parallel:   o.Parallel,
+		KeepGoing:  o.KeepGoing,
+		JobTimeout: o.JobTimeout,
+		Retries:    o.Retries,
+		Stats:      o.RunnerStats,
+		Telemetry:  o.Telemetry,
 	}
 	if o.CacheDir != "" {
 		ropts.Cache = runner.NewCache(o.CacheDir)

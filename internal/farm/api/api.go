@@ -62,7 +62,7 @@ const (
 func Routes() []Route {
 	return []Route{
 		{Method: "POST", Path: PathSubmit, Doc: "submit a sweep (idempotent by content hash); returns the sweep ID"},
-		{Method: "GET", Path: PathSweep, Doc: "sweep status: counts, a cursor, per-job rows (with ?since=CURSOR only rows changed since; {sweep} suffix)"},
+		{Method: "GET", Path: PathSweep, Doc: "sweep status: counts, a cursor, per-job rows (?since=CURSOR: only rows changed since; &wait_ms=N: long-poll until one changes; {sweep} suffix)"},
 		{Method: "GET", Path: PathResult, Doc: "one run's summary by spec content hash ({hash} suffix)"},
 		{Method: "POST", Path: PathLease, Doc: "long-poll lease of the next queued job (worker pull)"},
 		{Method: "POST", Path: PathHeartbeat, Doc: "renew a live lease before its TTL lapses"},
@@ -215,7 +215,9 @@ type JobStatus struct {
 // Jobs holds every row, or — when the request carried a since cursor from
 // the same coordinator lifetime — only the rows whose job changed state
 // after that cursor. Cursor is opaque: pass it back as since to get the
-// next delta. A cursor from an earlier lifetime gets the full table.
+// next delta. A cursor from an earlier lifetime gets the full table. With
+// wait_ms, a delta request that would carry no rows parks until one of
+// the sweep's rows changes, the sweep is complete, or the window lapses.
 type SweepStatus struct {
 	Sweep    string      `json:"sweep"`
 	Queued   int         `json:"queued"`
@@ -228,9 +230,13 @@ type SweepStatus struct {
 	Jobs     []JobStatus `json:"jobs"`
 }
 
-// QuerySince names the GET PathSweep query parameter carrying a
-// SweepStatus.Cursor.
-const QuerySince = "since"
+// GET PathSweep query parameters: QuerySince carries a SweepStatus.Cursor;
+// QueryWait long-polls a delta for up to that many milliseconds (capped by
+// the coordinator, like LeaseRequest.WaitMS).
+const (
+	QuerySince = "since"
+	QueryWait  = "wait_ms"
+)
 
 // ResultResponse is one run's result: the summary plus the spec that
 // produced it, mirroring the runner's self-describing cache entries.

@@ -45,12 +45,6 @@ func (p *flakyProxy) count(kind string) {
 }
 
 func (p *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// Streaming endpoints don't survive a buffering fault injector; answer
-	// like a middlebox that strips streaming, forcing the polling fallback.
-	if r.URL.Path == "/events" {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
@@ -154,9 +148,7 @@ func TestChaosProxyNoJobLostOrDoubled(t *testing.T) {
 	// Everything — worker and batch client — talks through the proxy, with
 	// an aggressive retry policy so injected faults cost milliseconds.
 	copts := ClientOptions{
-		Retry:        RetryPolicy{Attempts: 8, Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond},
-		PollInterval: 20 * time.Millisecond,
-		PollMax:      200 * time.Millisecond,
+		Retry: RetryPolicy{Attempts: 8, Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond},
 	}
 	workerCtx, stopWorker := context.WithCancel(ctx)
 	defer stopWorker()

@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/tls"
@@ -13,6 +12,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -61,22 +61,15 @@ type ClientOptions struct {
 	TLS *tls.Config
 	// Retry bounds transient-error retries; zero fields take DefaultRetry.
 	Retry RetryPolicy
-	// PollInterval/PollMax pace RunSweep's status polling when the /events
-	// stream is unavailable: jittered backoff from PollInterval (default
-	// 300ms) up to PollMax (default 2s), reset on progress.
-	PollInterval time.Duration
-	PollMax      time.Duration
 }
 
 // Client speaks the api protocol to a coordinator. The zero value is not
 // usable; construct with NewClient or NewClientOpts.
 type Client struct {
-	base     string
-	http     *http.Client
-	token    string
-	retry    RetryPolicy
-	pollBase time.Duration
-	pollMax  time.Duration
+	base  string
+	http  *http.Client
+	token string
+	retry RetryPolicy
 }
 
 // NewClient returns a plaintext client for the coordinator at addr with
@@ -98,29 +91,16 @@ func NewClientOpts(addr string, opts ClientOptions) *Client {
 		}
 	}
 	base = strings.TrimRight(base, "/")
-	// No global timeout: lease long-polls legitimately hold a request open
-	// for tens of seconds. Per-call deadlines come from the context.
+	// No global timeout: lease and sweep-status long-polls legitimately
+	// hold a request open for tens of seconds. Per-call deadlines come
+	// from the context.
 	hc := &http.Client{}
 	if opts.TLS != nil {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
 		tr.TLSClientConfig = opts.TLS
 		hc.Transport = tr
 	}
-	c := &Client{
-		base:     base,
-		http:     hc,
-		token:    opts.Token,
-		retry:    opts.Retry.withDefaults(),
-		pollBase: opts.PollInterval,
-		pollMax:  opts.PollMax,
-	}
-	if c.pollBase <= 0 {
-		c.pollBase = 300 * time.Millisecond
-	}
-	if c.pollMax < c.pollBase {
-		c.pollMax = 2 * time.Second
-	}
-	return c
+	return &Client{base: base, http: hc, token: opts.Token, retry: opts.Retry.withDefaults()}
 }
 
 // NewClientFiles builds a client from CLI-style credential file paths: the
@@ -286,15 +266,23 @@ func (c *Client) Register(ctx context.Context, req api.RegisterRequest) (*api.Re
 
 // Sweep fetches a sweep's status with every job row.
 func (c *Client) Sweep(ctx context.Context, id string) (*api.SweepStatus, error) {
-	return c.sweepSince(ctx, id, "")
+	return c.sweepSince(ctx, id, "", 0)
 }
 
 // sweepSince fetches a sweep's status with only the rows changed since
-// cursor (every row when cursor is empty or foreign to the coordinator).
-func (c *Client) sweepSince(ctx context.Context, id, cursor string) (*api.SweepStatus, error) {
-	path := api.PathSweep + id
+// cursor (every row when cursor is empty or foreign to the coordinator),
+// long-polling up to wait for a row to change when none has.
+func (c *Client) sweepSince(ctx context.Context, id, cursor string, wait time.Duration) (*api.SweepStatus, error) {
+	q := url.Values{}
 	if cursor != "" {
-		path += "?" + url.Values{api.QuerySince: {cursor}}.Encode()
+		q.Set(api.QuerySince, cursor)
+	}
+	if wait > 0 {
+		q.Set(api.QueryWait, strconv.FormatInt(wait.Milliseconds(), 10))
+	}
+	path := api.PathSweep + id
+	if len(q) > 0 {
+		path += "?" + q.Encode()
 	}
 	var resp api.SweepStatus
 	if err := c.doRetry(ctx, http.MethodGet, path, nil, &resp); err != nil {
@@ -314,33 +302,25 @@ func (c *Client) Result(ctx context.Context, hash string) (*api.ResultResponse, 
 
 // RunSweep is the batch front door: submit jobs, wait until every job is
 // terminal, and return summaries keyed by job key — the remote equivalent
-// of runner.Run. Progress is event-driven when the coordinator's /events
-// stream is available (each lifecycle event triggers a status re-fetch,
-// with a coarse safety poll underneath); when streaming is unavailable or
-// dies, RunSweep falls back to polling with jittered backoff. Each
-// re-fetch asks only for the rows changed since the previous one and
-// merges them by key, so a sweep's status traffic grows with its job
-// count, not with the job count times the wake-ups. onDone, when non-nil,
-// is called once per key as jobs reach terminal states (serialized, with
-// monotonically increasing done counts out of the sweep's size). Failed
-// jobs are reported like the runner reports them: one error per failed
-// job, joined, with every missing key accounted for.
+// of runner.Run. It fetches the full status table once, then long-polls
+// (for up to the coordinator's cap) for the rows changed since the
+// previous answer and merges them by key, so a sweep's status traffic
+// grows with its state changes, not with wall-clock time. onDone, when
+// non-nil, is called once per key as jobs reach terminal states
+// (serialized, with monotonically increasing done counts out of the
+// sweep's size). Failed jobs are reported like the runner reports them:
+// one error per failed job, joined, with every missing key accounted for.
 func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func(done, total int, key string, cached bool)) (map[string]*sim.Summary, error) {
 	sub, err := c.Submit(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
-	wctx, wcancel := context.WithCancel(ctx)
-	defer wcancel()
-	events := c.openEvents(wctx)
-
 	rows := make(map[string]api.JobStatus, sub.Jobs) // the merged table
 	var keys []string                                // rows' keys, first-seen order
 	reported := map[string]bool{}
-	backoff := c.pollBase
-	var cursor string
+	var cursor string // empty: the first fetch gets the full table at once
 	for {
-		st, err := c.sweepSince(ctx, sub.Sweep, cursor)
+		st, err := c.sweepSince(ctx, sub.Sweep, cursor, maxPollWait)
 		if err != nil {
 			return nil, err
 		}
@@ -351,7 +331,6 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 			}
 			rows[j.Key] = j
 		}
-		progressed := false
 		if onDone != nil {
 			// Report newly terminal jobs in deterministic (key) order.
 			var fresh []api.JobStatus
@@ -363,38 +342,11 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 			sort.Slice(fresh, func(i, k int) bool { return fresh[i].Key < fresh[k].Key })
 			for _, j := range fresh {
 				reported[j.Key] = true
-				progressed = true
 				onDone(len(reported), sub.Jobs, j.Key, j.State == api.StateCached)
 			}
 		}
 		if st.Complete {
 			break
-		}
-		if progressed {
-			backoff = c.pollBase // the farm is moving; stay responsive
-		}
-		wait := backoff
-		if events == nil {
-			// Pure polling: jittered exponential backoff up to the cap, so
-			// a thousand idle clients don't synchronize on one coordinator.
-			wait = backoff/2 + time.Duration(rand.Int64N(int64(backoff/2)+1))
-			if backoff *= 2; backoff > c.pollMax {
-				backoff = c.pollMax
-			}
-		} else {
-			// Streaming: events drive re-fetches; the timer is only a
-			// safety net against missed/dropped events.
-			wait = c.pollMax
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case _, ok := <-events:
-			if !ok {
-				events = nil // stream died: fall back to polling
-				backoff = c.pollBase
-			}
-		case <-time.After(wait):
 		}
 	}
 
@@ -414,49 +366,6 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 		results[j.Key] = res.Summary
 	}
 	return results, errors.Join(errs...)
-}
-
-// openEvents subscribes to the coordinator's /events SSE stream and
-// returns a channel that receives one (coalesced) signal per lifecycle
-// event and closes when the stream ends. Returns nil when streaming is
-// unavailable (older coordinator, proxy stripping streaming, transport
-// error) — the caller falls back to polling. The stream lives until ctx
-// fires.
-func (c *Client) openEvents(ctx context.Context) <-chan struct{} {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/events", nil)
-	if err != nil {
-		return nil
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil
-	}
-	if resp.StatusCode != http.StatusOK ||
-		!strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		resp.Body.Close()
-		return nil
-	}
-	ch := make(chan struct{}, 1)
-	go func() {
-		defer resp.Body.Close()
-		defer close(ch)
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-		for sc.Scan() {
-			if !strings.HasPrefix(sc.Text(), "data:") {
-				continue
-			}
-			select {
-			case ch <- struct{}{}: // coalesce: one pending signal is enough
-			default:
-			}
-		}
-	}()
-	return ch
 }
 
 // terminal reports whether a job state is final.

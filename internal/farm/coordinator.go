@@ -94,7 +94,7 @@ type Coordinator struct {
 	cfg   Config
 	cache *runner.Cache
 
-	quit     chan struct{} // closed by Shutdown: long-polls return empty
+	quit     chan struct{} // closed by Shutdown: long-polls answer at once
 	quitOnce sync.Once
 
 	// life names this coordinator lifetime in sweep-status cursors, so a
@@ -109,7 +109,7 @@ type Coordinator struct {
 	sweeps    map[string]*sweepState
 	workers   map[string]*api.WorkerStatus // registered workers by name
 	leaseSeq  uint64
-	wake      chan struct{} // closed and replaced whenever work is queued
+	wake      chan struct{} // closed and replaced whenever ver advances
 	journal   *journal
 	jerr      error // first journal write error (reported by Close)
 	compacted int64 // journal size right after the last compaction
@@ -172,10 +172,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 }
 
 // Shutdown begins a graceful stop: every long-polling Lease returns empty
-// immediately (workers just poll again and ride out the restart via their
-// retry policy), and no new long-polls park. Idempotent and safe from any
-// goroutine; call before the HTTP server drains so parked lease handlers
-// cannot hold the drain open for the full poll window.
+// and every long-polling Sweep returns its status immediately (workers and
+// clients just poll again and ride out the restart via their retry
+// policy), and no new long-polls park. Idempotent and safe from any
+// goroutine; call before the HTTP server drains so parked handlers cannot
+// hold the drain open for the full poll window.
 func (c *Coordinator) Shutdown() {
 	c.quitOnce.Do(func() { close(c.quit) })
 }
@@ -212,19 +213,39 @@ func (c *Coordinator) record(rec JournalRecord) {
 }
 
 // setState moves j to state and stamps it with the next version, so every
-// sweep-status delta minted before this change carries the job's row. Each
-// state change after replay goes through here; the row's other fields
-// (attempts, worker, error) change only alongside one. Callers hold c.mu.
+// sweep-status delta minted before this change carries the job's row, and
+// wakes every parked long-poll to look again. Each state change after
+// replay goes through here; the row's other fields (attempts, worker,
+// error) change only alongside one. Callers hold c.mu.
 func (c *Coordinator) setState(j *job, state string) {
 	c.ver++
 	j.ver = c.ver
 	j.state = state
-}
-
-// notify wakes every long-polling Lease call. Callers hold c.mu.
-func (c *Coordinator) notify() {
 	close(c.wake)
 	c.wake = make(chan struct{})
+}
+
+// park blocks a long-poll that found nothing to answer until wake closes
+// (the caller should look again), the deadline on the coordinator's clock
+// passes, ctx ends, or Shutdown begins. It reports whether wake closed,
+// and ctx's error when that is what ended it. Callers read wake under c.mu
+// in the same critical section as the state they found wanting.
+func (c *Coordinator) park(ctx context.Context, wake <-chan struct{}, deadline time.Time) (bool, error) {
+	remain := deadline.Sub(c.cfg.Clock())
+	if remain <= 0 {
+		return false, nil
+	}
+	timer := time.NewTimer(remain)
+	defer timer.Stop()
+	select {
+	case <-wake:
+		return true, nil
+	case <-ctx.Done():
+		return false, ctx.Err()
+	case <-c.quit:
+	case <-timer.C:
+	}
+	return false, nil
 }
 
 // Submit registers a sweep and returns its content-derived ID. Submission
@@ -268,7 +289,6 @@ func (c *Coordinator) Submit(jobs []runspec.Named) (*api.SubmitResponse, error) 
 	}
 
 	resp := &api.SubmitResponse{Sweep: id, Jobs: len(st.hashes)}
-	queuedNew := false
 	var fresh int
 	for i, h := range st.hashes {
 		j := c.jobs[h]
@@ -290,7 +310,6 @@ func (c *Coordinator) Submit(jobs []runspec.Named) (*api.SubmitResponse, error) 
 			} else {
 				c.setState(j, api.StateQueued)
 				c.queue = append(c.queue, h)
-				queuedNew = true
 				c.record(JournalRecord{Kind: "queued", Sweep: id, Key: j.key, Hash: h, Spec: &sp})
 			}
 		}
@@ -307,9 +326,6 @@ func (c *Coordinator) Submit(jobs []runspec.Named) (*api.SubmitResponse, error) 
 	}
 	if fresh > 0 {
 		c.cfg.Collector.SweepStart(fresh)
-	}
-	if queuedNew {
-		c.notify()
 	}
 	return resp, nil
 }
@@ -330,29 +346,14 @@ func (c *Coordinator) Lease(ctx context.Context, worker string, wait time.Durati
 		}
 		c.mu.Lock()
 		c.expireLocked(c.cfg.Clock())
-		if l := c.leaseLocked(worker); l != nil {
-			c.mu.Unlock()
-			return l, nil
-		}
+		l := c.leaseLocked(worker)
 		wake := c.wake
 		c.mu.Unlock()
-
-		remain := deadline.Sub(c.cfg.Clock())
-		if remain <= 0 {
-			return nil, nil
+		if l != nil {
+			return l, nil
 		}
-		timer := time.NewTimer(remain)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, ctx.Err()
-		case <-c.quit:
-			timer.Stop()
-			return nil, nil
-		case <-timer.C:
-			return nil, nil
-		case <-wake:
-			timer.Stop()
+		if woke, err := c.park(ctx, wake, deadline); !woke {
+			return nil, err
 		}
 	}
 }
@@ -466,7 +467,6 @@ func (c *Coordinator) requeueOrFailLocked(j *job, errText string, retryable bool
 		c.queue = append(c.queue, j.hash)
 		c.cfg.Collector.JobRetry(j.key, j.attempts)
 		c.record(JournalRecord{Kind: "requeue", Key: j.key, Hash: j.hash, Attempts: j.attempts, Error: errText})
-		c.notify()
 		return
 	}
 	c.setState(j, api.StateFailed)
@@ -524,19 +524,36 @@ func (c *Coordinator) StartExpiry(ctx context.Context, interval time.Duration) {
 }
 
 // Sweep reports the state of a submitted sweep: counts over all its jobs,
-// and per-job rows in submission order under that sweep's own keys. An
-// empty since, or a cursor minted by an earlier coordinator lifetime,
-// gets every row; a cursor from this lifetime gets only the rows whose job
-// changed state after it was minted. The response's Cursor marks the
-// state it reports, for the next call. A malformed cursor is bad_request.
-func (c *Coordinator) Sweep(id, since string) (*api.SweepStatus, error) {
-	after, delta, err := c.parseCursor(since)
-	if err != nil {
-		return nil, err
+// and per-job rows in submission order under that sweep's own keys. A
+// query with an empty or foreign since cursor (see parseSweepQuery) gets
+// every row; a cursor from this lifetime gets only the rows whose job
+// changed state after it was minted. A delta that would carry no rows for
+// an incomplete sweep long-polls up to q.wait: it parks until one of this
+// sweep's rows changes, and otherwise answers empty when the window
+// lapses or Shutdown begins. The response's Cursor marks the state it
+// reports, for the next call.
+func (c *Coordinator) Sweep(ctx context.Context, id string, q sweepQuery) (*api.SweepStatus, error) {
+	deadline := c.cfg.Clock().Add(q.wait)
+	for {
+		c.mu.Lock()
+		c.expireLocked(c.cfg.Clock())
+		out, err := c.sweepLocked(id, q)
+		wake := c.wake
+		c.mu.Unlock()
+		if err != nil || !q.delta || out.Complete || len(out.Jobs) > 0 {
+			return out, err
+		}
+		if woke, err := c.park(ctx, wake, deadline); !woke {
+			if err != nil {
+				return nil, err
+			}
+			return out, nil
+		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked(c.cfg.Clock())
+}
+
+// sweepLocked builds one status report for Sweep. Callers hold c.mu.
+func (c *Coordinator) sweepLocked(id string, q sweepQuery) (*api.SweepStatus, error) {
 	st := c.sweeps[id]
 	if st == nil {
 		return nil, &api.Error{Code: api.CodeNotFound, Message: fmt.Sprintf("sweep %s is unknown", id)}
@@ -558,13 +575,43 @@ func (c *Coordinator) Sweep(id, since string) (*api.SweepStatus, error) {
 		case api.StateFailed:
 			out.Failed++
 		}
-		if delta && j.ver <= after {
+		if q.delta && j.ver <= q.after {
 			continue
 		}
 		out.Jobs = append(out.Jobs, api.JobStatus{Key: st.keys[i], Hash: h, State: j.state, Attempts: j.attempts, Worker: j.worker, Error: j.errText})
 	}
-	out.Cursor = c.life + "-" + strconv.FormatUint(c.ver, 10)
+	out.Cursor = c.cursor(c.ver)
 	return out, nil
+}
+
+// cursor mints the sweep-status cursor for version ver of this lifetime.
+func (c *Coordinator) cursor(ver uint64) string {
+	return c.life + "-" + strconv.FormatUint(ver, 10)
+}
+
+// sweepQuery is a parsed sweep-status request.
+type sweepQuery struct {
+	after uint64        // the version the since cursor marks
+	delta bool          // the cursor is from this lifetime: serve rows changed after it
+	wait  time.Duration // long-poll window, in [0, maxPollWait]
+}
+
+// parseSweepQuery decodes a sweep-status request's since cursor (see
+// parseCursor) and wait_ms window (milliseconds, clamped like a lease
+// request's). Either one malformed is bad_request; an empty wait_ms is no
+// wait.
+func (c *Coordinator) parseSweepQuery(since, waitMS string) (sweepQuery, error) {
+	after, delta, err := c.parseCursor(since)
+	if err != nil {
+		return sweepQuery{}, err
+	}
+	var ms int64
+	if waitMS != "" {
+		if ms, err = strconv.ParseInt(waitMS, 10, 64); err != nil {
+			return sweepQuery{}, &api.Error{Code: api.CodeBadRequest, Message: fmt.Sprintf("malformed %s %q", api.QueryWait, waitMS)}
+		}
+	}
+	return sweepQuery{after: after, delta: delta, wait: pollWait(ms)}, nil
 }
 
 // parseCursor decodes a sweep-status cursor ("<lifetime>-<version>", both

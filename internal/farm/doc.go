@@ -32,14 +32,17 @@
 //     like a local sweep. Every state transition is also journaled to an
 //     append-only farm-journal.jsonl beside the corpus (the crash-safe
 //     whole-line-append idiom of the runner's sweep journal).
-//   - Sweep status is served as deltas. Every job state change takes the
-//     next value of a coordinator-wide version counter; a status response
-//     carries an opaque cursor naming the coordinator lifetime and that
-//     counter, and a request passing it back as ?since= gets only the
-//     rows changed after it (counts always cover the whole sweep). A
-//     cursor from another lifetime gets the full table, so Client.RunSweep
-//     — which fetches the full table once, then merges deltas by key —
-//     rides out a coordinator restart without missing a row.
+//   - Sweep status is served as deltas, by long-poll. Every job state
+//     change takes the next value of a coordinator-wide version counter
+//     and wakes every parked long-poll; a status response carries an
+//     opaque cursor naming the coordinator lifetime and that counter, and
+//     a request passing it back as ?since= gets only the rows changed
+//     after it (counts always cover the whole sweep). With &wait_ms= such
+//     a request parks, on the same wake channel as a lease request, until
+//     a row of its sweep changes. A cursor from another lifetime gets the
+//     full table, so Client.RunSweep — which fetches the full table once,
+//     then long-polls deltas and merges them by key — rides out a
+//     coordinator restart without missing a row.
 //
 // See DESIGN.md's "Sweep farm" chapter for the endpoint, lease, and
 // state-machine reference, and examples/farm for a runnable walkthrough.

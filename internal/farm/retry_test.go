@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"repro/internal/farm/api"
-	"repro/internal/obs/sweep"
 	"repro/internal/runspec"
-	"repro/internal/sim"
 )
 
 // fastRetry keeps retry tests quick: the policy shape is what's under test,
@@ -111,83 +109,6 @@ func TestClientBackoffHonorsContext(t *testing.T) {
 	}
 }
 
-// completeSweep drains the queue as an inline worker: lease and complete
-// until the queue is empty, pacing so lifecycle events spread out in time.
-func completeSweep(t *testing.T, cl *Client) {
-	t.Helper()
-	ctx := context.Background()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		lease, err := cl.Lease(ctx, "inline", 0)
-		if err != nil {
-			t.Errorf("lease: %v", err)
-			return
-		}
-		if lease == nil {
-			time.Sleep(5 * time.Millisecond)
-			continue
-		}
-		if _, err := cl.Complete(ctx, api.CompleteRequest{
-			Lease: lease.ID, Outcome: api.OutcomeOK, Summary: &sim.Summary{Cycles: 1},
-		}); err != nil {
-			t.Errorf("complete: %v", err)
-			return
-		}
-	}
-}
-
-// TestRunSweepEventDriven: with a collector attached, RunSweep rides the
-// /events stream — the sweep finishes long before the (deliberately huge)
-// polling floor could have noticed, proving events drove the re-fetches.
-func TestRunSweepEventDriven(t *testing.T) {
-	_, cl := testFarm(t, Config{Collector: sweep.New()})
-	// Polling alone would need ≥20s to observe completion; events must win.
-	slow := NewClientOpts(cl.base, ClientOptions{PollInterval: 20 * time.Second, PollMax: 30 * time.Second})
-
-	jobs := []runspec.Named{protoJob("a", 1), protoJob("b", 2)}
-	go func() {
-		// Give RunSweep time to submit and subscribe before completing.
-		time.Sleep(100 * time.Millisecond)
-		completeSweep(t, cl)
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	start := time.Now()
-	var reports int
-	res, err := slow.RunSweep(ctx, jobs, func(done, total int, key string, cached bool) { reports++ })
-	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("event-driven sweep took %v — events did not drive completion", elapsed)
-	}
-	if len(res) != 2 || reports != 2 {
-		t.Fatalf("results %d, reports %d, want 2/2", len(res), reports)
-	}
-}
-
-// TestRunSweepPollingFallback: without a collector the coordinator answers
-// /events with 501, so RunSweep must fall back to jittered-backoff polling
-// and still converge.
-func TestRunSweepPollingFallback(t *testing.T) {
-	_, cl := testFarm(t, Config{}) // no collector → /events unavailable
-	poller := NewClientOpts(cl.base, ClientOptions{PollInterval: 5 * time.Millisecond, PollMax: 25 * time.Millisecond})
-
-	jobs := []runspec.Named{protoJob("a", 1), protoJob("b", 2)}
-	go completeSweep(t, cl)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	res, err := poller.RunSweep(ctx, jobs, nil)
-	if err != nil {
-		t.Fatalf("RunSweep without events: %v", err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("results: %d, want 2", len(res))
-	}
-}
-
 // TestChaosShutdownDrainsParkedLease: Shutdown must unpark a long-polling
 // lease immediately (empty grant, no error) and answer later long-polls
 // without parking — the property simfarmd's SIGTERM drain depends on to
@@ -226,6 +147,31 @@ func TestChaosShutdownDrainsParkedLease(t *testing.T) {
 	l, err := cl.Lease(ctx, "late", 25*time.Second)
 	if err != nil || l != nil {
 		t.Fatalf("post-shutdown lease: %+v %v", l, err)
+	}
+	if time.Since(start) > 5*time.Second {
+		t.Fatal("post-shutdown long-poll must not park")
+	}
+}
+
+// TestChaosShutdownDrainsParkedSweep is the sweep-status twin of
+// TestChaosShutdownDrainsParkedLease: Shutdown unparks a status long-poll
+// at once (its status, no rows, no error), and later long-polls answer
+// without parking.
+func TestChaosShutdownDrainsParkedSweep(t *testing.T) {
+	co, cl := testFarm(t, Config{})
+	a := submitOne(t, cl, "a", 1)
+	ch := longPoll(context.Background(), cl, a.Sweep, a.Cursor, 25*time.Second)
+	time.Sleep(50 * time.Millisecond) // let the poll park
+	co.Shutdown()
+	got := answered(t, ch, 5*time.Second)
+	if got.err != nil || len(got.st.Jobs) != 0 || got.st.Queued != 1 {
+		t.Fatalf("drained long-poll must answer its status without rows: %+v %v", got.st, got.err)
+	}
+
+	start := time.Now()
+	st, err := cl.sweepSince(context.Background(), a.Sweep, got.st.Cursor, 25*time.Second)
+	if err != nil || len(st.Jobs) != 0 {
+		t.Fatalf("post-shutdown poll: %+v %v", st, err)
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("post-shutdown long-poll must not park")

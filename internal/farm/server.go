@@ -15,9 +15,16 @@ import (
 	"repro/internal/obs/sweep"
 )
 
-// maxLeaseWait caps a lease request's long-poll window so a forgotten
-// client cannot pin a handler goroutine indefinitely.
-const maxLeaseWait = 30 * time.Second
+// maxPollWait caps the window of both long-polls, a lease request and a
+// sweep-status request, so a forgotten client cannot pin a handler
+// goroutine indefinitely. RunSweep asks for the whole cap.
+const maxPollWait = 30 * time.Second
+
+// pollWait converts a requested long-poll window in milliseconds to a
+// duration clamped to [0, maxPollWait].
+func pollWait(ms int64) time.Duration {
+	return time.Duration(min(max(ms, 0), maxPollWait.Milliseconds())) * time.Millisecond
+}
 
 // Handler builds the coordinator's full HTTP surface from the api.Routes
 // table: the /v1 job-farm protocol plus the re-exported status endpoints
@@ -198,12 +205,21 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	st, err := c.Sweep(r.PathValue("sweep"), r.URL.Query().Get(api.QuerySince))
+	query := r.URL.Query()
+	q, err := c.parseSweepQuery(query.Get(api.QuerySince), query.Get(api.QueryWait))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, st)
+	st, err := c.Sweep(r.Context(), r.PathValue("sweep"), q)
+	switch {
+	case r.Context().Err() != nil:
+		// The client went away mid-poll; nothing useful to write.
+	case err != nil:
+		writeErr(w, err)
+	default:
+		writeJSON(w, st)
+	}
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -220,14 +236,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !readBody(w, r, &req) {
 		return
 	}
-	wait := time.Duration(req.WaitMS) * time.Millisecond
-	if wait < 0 {
-		wait = 0
-	}
-	if wait > maxLeaseWait {
-		wait = maxLeaseWait
-	}
-	lease, err := c.Lease(r.Context(), req.Worker, wait)
+	lease, err := c.Lease(r.Context(), req.Worker, pollWait(req.WaitMS))
 	if err != nil {
 		// The client went away mid-poll; nothing useful to write.
 		return

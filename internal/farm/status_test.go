@@ -3,9 +3,12 @@ package farm
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -14,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/farm/api"
+	"repro/internal/obs/sweep"
 	"repro/internal/runner"
 	"repro/internal/runspec"
 	"repro/internal/sim"
@@ -75,6 +79,12 @@ func settle(t *testing.T, cl *Client, n int) {
 	}
 }
 
+// malformedCursors are since values a coordinator whose lifetime is life
+// must reject as bad_request.
+func malformedCursors(life string) []string {
+	return []string{"nope", life, life + "-", life + "-x", life + "-1-2", "0123456789abcdeg-1", "abc-1", "-1"}
+}
+
 func rowKeys(st *api.SweepStatus) string {
 	keys := make([]string, len(st.Jobs))
 	for i, j := range st.Jobs {
@@ -108,7 +118,7 @@ func TestSweepStatusDeltas(t *testing.T) {
 	if rowKeys(full) != "a:queued,b:queued,c:queued" || full.Queued != 3 || full.Cursor == "" {
 		t.Fatalf("full table: %+v", full)
 	}
-	quiet, err := cl.sweepSince(ctx, sub.Sweep, full.Cursor)
+	quiet, err := cl.sweepSince(ctx, sub.Sweep, full.Cursor, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +131,7 @@ func TestSweepStatusDeltas(t *testing.T) {
 	if err != nil || lease == nil || lease.Key != "b" {
 		t.Fatalf("lease b: %+v %v", lease, err)
 	}
-	d1, err := cl.sweepSince(ctx, sub.Sweep, full.Cursor)
+	d1, err := cl.sweepSince(ctx, sub.Sweep, full.Cursor, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +141,7 @@ func TestSweepStatusDeltas(t *testing.T) {
 
 	// The expiry path stamps its change too: b's lapsed lease requeues it.
 	clock.Advance(31 * time.Second)
-	d2, err := cl.sweepSince(ctx, sub.Sweep, d1.Cursor)
+	d2, err := cl.sweepSince(ctx, sub.Sweep, d1.Cursor, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +149,7 @@ func TestSweepStatusDeltas(t *testing.T) {
 		t.Fatalf("delta after b's lease lapsed: %+v", d2)
 	}
 
-	again, err := cl.sweepSince(ctx, sub.Sweep, "")
+	again, err := cl.sweepSince(ctx, sub.Sweep, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +169,8 @@ func TestSweepStatusDeltas(t *testing.T) {
 	}
 
 	life, _, _ := strings.Cut(full.Cursor, "-")
-	for _, bad := range []string{"nope", life, life + "-", life + "-x", life + "-1-2", "0123456789abcdeg-1", "abc-1", "-1"} {
-		if _, err := cl.sweepSince(ctx, sub.Sweep, bad); errCode(t, err) != api.CodeBadRequest {
+	for _, bad := range malformedCursors(life) {
+		if _, err := cl.sweepSince(ctx, sub.Sweep, bad, 0); errCode(t, err) != api.CodeBadRequest {
 			t.Errorf("cursor %q: want bad_request", bad)
 		}
 	}
@@ -176,13 +186,208 @@ func TestSweepStatusDeltas(t *testing.T) {
 	}
 	defer co2.Close()
 	_, cl2 := serveFarm(t, co2)
-	restarted, err := cl2.sweepSince(ctx, sub.Sweep, d2.Cursor)
+	restarted, err := cl2.sweepSince(ctx, sub.Sweep, d2.Cursor, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rowKeys(restarted) != "a:cached,b:queued,c:queued" || restarted.Cursor == d2.Cursor {
 		t.Fatalf("cursor from an earlier lifetime must get the full table: %+v", restarted)
 	}
+}
+
+// pollAnswer is one background sweep-status request's answer and when it
+// arrived.
+type pollAnswer struct {
+	st  *api.SweepStatus
+	err error
+	at  time.Time
+}
+
+// longPoll sends one delta long-poll in the background.
+func longPoll(ctx context.Context, cl *Client, id, cursor string, wait time.Duration) <-chan pollAnswer {
+	ch := make(chan pollAnswer, 1)
+	go func() {
+		st, err := cl.sweepSince(ctx, id, cursor, wait)
+		ch <- pollAnswer{st, err, time.Now()}
+	}()
+	return ch
+}
+
+// answered waits up to within for a long-poll's answer.
+func answered(t *testing.T, ch <-chan pollAnswer, within time.Duration) pollAnswer {
+	t.Helper()
+	select {
+	case a := <-ch:
+		return a
+	case <-time.After(within):
+		t.Fatalf("long-poll still parked after %v", within)
+		return pollAnswer{}
+	}
+}
+
+// submitOne submits a one-job sweep and fetches its full status table.
+func submitOne(t *testing.T, cl *Client, key string, seed int64) *api.SweepStatus {
+	t.Helper()
+	ctx := context.Background()
+	sub, err := cl.Submit(ctx, []runspec.Named{protoJob(key, seed)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Sweep(ctx, sub.Sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestSweepLongPoll: a delta request with wait_ms parks until a row of its
+// own sweep changes, answers empty with a fresh cursor when the window
+// lapses, answers at once when there is nothing to wait for, and is
+// unparked by its request's cancellation (Shutdown: see
+// TestChaosShutdownDrainsParkedSweep).
+func TestSweepLongPoll(t *testing.T) {
+	ctx := context.Background()
+
+	t.Run("wakes on its own sweep only", func(t *testing.T) {
+		_, cl := testFarm(t, Config{})
+		a := submitOne(t, cl, "a", 1)
+		ch := longPoll(ctx, cl, a.Sweep, a.Cursor, 10*time.Second)
+		time.Sleep(50 * time.Millisecond) // let the poll park
+		submitOne(t, cl, "b", 2)          // a change in another sweep
+		select {
+		case got := <-ch:
+			t.Fatalf("a change in another sweep answered the poll: %+v %v", got.st, got.err)
+		case <-time.After(100 * time.Millisecond):
+		}
+		changed := time.Now()
+		if l, err := cl.Lease(ctx, "w", 0); err != nil || l == nil || l.Key != "a" {
+			t.Fatalf("lease a: %+v %v", l, err)
+		}
+		got := answered(t, ch, 5*time.Second)
+		if got.err != nil || rowKeys(got.st) != "a:leased" || got.st.Leased != 1 {
+			t.Fatalf("woken poll: %+v %v", got.st, got.err)
+		}
+		if lag := got.at.Sub(changed); lag > time.Second {
+			t.Errorf("the poll answered %v after its row changed", lag)
+		}
+	})
+
+	t.Run("lapses with a fresh cursor", func(t *testing.T) {
+		_, cl := testFarm(t, Config{})
+		a := submitOne(t, cl, "a", 1)
+		start := time.Now()
+		ch := longPoll(ctx, cl, a.Sweep, a.Cursor, 300*time.Millisecond)
+		time.Sleep(50 * time.Millisecond)
+		submitOne(t, cl, "b", 2) // moves the version on, in another sweep
+		got := answered(t, ch, 5*time.Second)
+		if got.err != nil || len(got.st.Jobs) != 0 || got.st.Queued != 1 || got.st.Complete {
+			t.Fatalf("lapsed poll: %+v %v", got.st, got.err)
+		}
+		if got.st.Cursor == a.Cursor {
+			t.Errorf("a lapsed poll must mint a fresh cursor, got the one it was sent")
+		}
+		if waited := got.at.Sub(start); waited < 300*time.Millisecond {
+			t.Errorf("the poll answered after %v, inside its 300ms window", waited)
+		}
+	})
+
+	t.Run("answers at once", func(t *testing.T) {
+		co, cl := testFarm(t, Config{})
+		a := submitOne(t, cl, "a", 1)
+		other := "0"
+		if co.life[0] == '0' {
+			other = "1"
+		}
+		foreign := other + co.life[1:] + "-1"
+		settle(t, cl, 1)
+		done, err := cl.Sweep(ctx, a.Sweep)
+		if err != nil || !done.Complete {
+			t.Fatalf("settled sweep: %+v %v", done, err)
+		}
+		for _, c := range []struct{ name, since, rows string }{
+			{"empty cursor", "", "a:done"},
+			{"foreign cursor", foreign, "a:done"},
+			{"row changed since", a.Cursor, "a:done"},
+			{"complete sweep", done.Cursor, ""},
+		} {
+			start := time.Now()
+			st, err := cl.sweepSince(ctx, a.Sweep, c.since, 10*time.Second)
+			if err != nil || rowKeys(st) != c.rows || !st.Complete {
+				t.Errorf("%s: %+v %v", c.name, st, err)
+			}
+			if took := time.Since(start); took > 2*time.Second {
+				t.Errorf("%s: answered after %v, want at once", c.name, took)
+			}
+		}
+	})
+
+	t.Run("malformed wait_ms", func(t *testing.T) {
+		_, cl := testFarm(t, Config{})
+		a := submitOne(t, cl, "a", 1)
+		for _, bad := range []string{"soon", "1.5", "1e3", "0x10", " 5", "99999999999999999999"} {
+			path := api.PathSweep + a.Sweep + "?" + url.Values{api.QuerySince: {a.Cursor}, api.QueryWait: {bad}}.Encode()
+			err := cl.do(ctx, http.MethodGet, path, nil, &api.SweepStatus{})
+			if errCode(t, err) != api.CodeBadRequest {
+				t.Errorf("wait_ms %q: want bad_request, got %v", bad, err)
+			}
+		}
+	})
+
+	t.Run("cancel unparks", func(t *testing.T) {
+		co, cl := testFarm(t, Config{})
+		a := submitOne(t, cl, "a", 1)
+		q, err := co.parseSweepQuery(a.Cursor, "25000")
+		if err != nil || !q.delta || q.wait != 25*time.Second {
+			t.Fatalf("query: %+v %v", q, err)
+		}
+		cctx, cancel := context.WithCancel(ctx)
+		ch := make(chan error, 1)
+		go func() {
+			_, err := co.Sweep(cctx, a.Sweep, q)
+			ch <- err
+		}()
+		time.Sleep(50 * time.Millisecond)
+		cancel()
+		select {
+		case err := <-ch:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled poll: %v, want context.Canceled", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("cancelling the request must unpark the poll")
+		}
+	})
+}
+
+// FuzzSweepQuery: every since/wait_ms pair parses to a wait in
+// [0, maxPollWait] or is rejected as bad_request, and every cursor the
+// coordinator mints parses back to its own version as a same-lifetime
+// delta.
+func FuzzSweepQuery(f *testing.F) {
+	c := &Coordinator{life: "0123456789abcdef"}
+	for _, bad := range malformedCursors(c.life) {
+		f.Add(bad, "", uint64(1))
+	}
+	f.Add("", "25000", uint64(0))
+	f.Add(c.life+"-7", "-1", uint64(7))
+	f.Add("fedcba9876543210-3", "30001", uint64(math.MaxUint64))
+	f.Add("", "9223372036854775807", uint64(2))
+	f.Add("", "1.5", uint64(3))
+	f.Fuzz(func(t *testing.T, since, waitMS string, ver uint64) {
+		q, err := c.parseSweepQuery(since, waitMS)
+		if err != nil {
+			var ae *api.Error
+			if !errors.As(err, &ae) || ae.Code != api.CodeBadRequest {
+				t.Fatalf("since %q wait_ms %q: %v, want bad_request", since, waitMS, err)
+			}
+		} else if q.wait < 0 || q.wait > maxPollWait {
+			t.Fatalf("since %q wait_ms %q: wait %v outside [0, %v]", since, waitMS, q.wait, maxPollWait)
+		}
+		minted := c.cursor(ver)
+		if q, err := c.parseSweepQuery(minted, ""); err != nil || !q.delta || q.after != ver {
+			t.Fatalf("minted cursor %q parsed to %+v %v", minted, q, err)
+		}
+	})
 }
 
 // TestSweepSameSpecTwoKeys: one submission carrying one spec under two
@@ -299,9 +504,8 @@ func TestRunSweepOnDoneOncePerKey(t *testing.T) {
 	defer cancel()
 	wctx, stop := context.WithCancel(ctx)
 	worker := inlineWorker(wctx, t, cl, 10*time.Millisecond)
-	poller := NewClientOpts(cl.base, ClientOptions{PollInterval: 2 * time.Millisecond, PollMax: 5 * time.Millisecond})
 	var reports []doneReport
-	res, err := poller.RunSweep(ctx, jobs, func(done, total int, key string, cached bool) {
+	res, err := cl.RunSweep(ctx, jobs, func(done, total int, key string, cached bool) {
 		reports = append(reports, doneReport{done, total, key, cached})
 	})
 	stop()
@@ -319,6 +523,67 @@ func TestRunSweepOnDoneOncePerKey(t *testing.T) {
 		if got, want := res[j.Key], seedSummary(j.Spec); got == nil || got.Cycles != want.Cycles {
 			t.Errorf("%s: summary %+v, want cycles %d", j.Key, got, want.Cycles)
 		}
+	}
+}
+
+// TestRunSweepLongPolls: RunSweep follows its sweep with status
+// long-polls alone: no /events subscription, one full fetch, then at most
+// one request per state change after submission (+1 slack), and it
+// notices the last change long before a poll window lapses.
+func TestRunSweepLongPolls(t *testing.T) {
+	co, err := NewCoordinator(Config{CacheDir: t.TempDir(), Collector: sweep.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var status, events atomic.Int32
+	h := Handler(co)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/events":
+			events.Add(1)
+		case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, api.PathSweep):
+			status.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		srv.Close()
+		co.Close()
+	})
+	cl := NewClient(srv.URL)
+	var jobs []runspec.Named
+	for i := 1; i <= 4; i++ {
+		jobs = append(jobs, protoJob(fmt.Sprintf("k%d", i), int64(i)))
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	wctx, stop := context.WithCancel(ctx)
+	worker := inlineWorker(wctx, t, cl, 20*time.Millisecond)
+	start := time.Now()
+	res, err := cl.RunSweep(ctx, jobs, nil)
+	elapsed := time.Since(start)
+	stop()
+	<-worker
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		if got, want := res[j.Key], seedSummary(j.Spec); got == nil || got.Cycles != want.Cycles {
+			t.Errorf("%s: summary %+v, want cycles %d", j.Key, got, want.Cycles)
+		}
+	}
+	co.mu.Lock()
+	changes := int(co.ver) - len(jobs) // less submission's queued stamps
+	co.mu.Unlock()
+	if n := events.Load(); n != 0 {
+		t.Errorf("RunSweep sent %d /events requests, want none", n)
+	}
+	if n := int(status.Load()); n > changes+2 {
+		t.Errorf("RunSweep sent %d status requests for %d state changes, want at most %d", n, changes, changes+2)
+	}
+	if elapsed > maxPollWait/3 {
+		t.Errorf("RunSweep took %v: the last change did not answer its long-poll", elapsed)
 	}
 }
 
@@ -356,9 +621,7 @@ func TestRunSweepSurvivesRestart(t *testing.T) {
 	srv := httptest.NewServer(sw)
 	defer srv.Close()
 	cl := NewClientOpts(srv.URL, ClientOptions{
-		Retry:        RetryPolicy{Attempts: 20, Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond},
-		PollInterval: 2 * time.Millisecond,
-		PollMax:      10 * time.Millisecond,
+		Retry: RetryPolicy{Attempts: 20, Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond},
 	})
 	var jobs []runspec.Named
 	for i := 1; i <= 8; i++ {

@@ -53,12 +53,6 @@ type Options struct {
 	// Parallel bounds concurrent simulations (default: GOMAXPROCS-1,
 	// min 1).
 	Parallel int
-	// BatchTraces groups jobs sharing a (benchmark, seed, cores, ops)
-	// trace key, generates each group's trace once, and hands every job
-	// in the group a fresh cursor over the same immutable records (see
-	// batch.go). Results and cache entries are unchanged; only redundant
-	// generator work is removed. LLC-filtered jobs are never batched.
-	BatchTraces bool
 	// Cache, when non-nil, serves hits and stores results by spec hash.
 	// A cache also enables the sweep journal: every job-lifecycle event,
 	// terminal states included, is appended as it happens to
@@ -116,11 +110,6 @@ type Options struct {
 	// it is nil. Without a Cache, a nil collector costs one nil check per
 	// transition and changes nothing else.
 	Telemetry *sweep.Collector
-
-	// batch holds the sweep's shared trace snapshots (built by Run when
-	// BatchTraces grouped anything). It rides in the Options value
-	// threaded to runJob, so per-job code needs no extra plumbing.
-	batch *traceBatch
 }
 
 func (o Options) parallel() int {
@@ -244,9 +233,6 @@ func Run(ctx context.Context, opts Options, jobs []Job) (map[string]*sim.Summary
 			opts.OnJobDone(done, len(jobs), jobs[i], out.cached, out.err)
 		}
 	}
-	if opts.BatchTraces {
-		opts.batch = newTraceBatch(jobs)
-	}
 	workers := opts.parallel()
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -334,15 +320,6 @@ func runJob(ctx context.Context, opts Options, j Job) (out outcome) {
 		return out
 	}
 	for {
-		// Attach the shared trace snapshot only after the cache miss: a
-		// fully cached sweep never materializes any group. Fresh cursors
-		// every attempt — a retry must not resume half-consumed ones. The
-		// snapshot feeds the simulation the exact records its own
-		// generators would produce, so the summary stored under the spec
-		// hash is unchanged.
-		if srcs := opts.batch.sourcesFor(j.Spec); srcs != nil {
-			cfg.Sources = srcs
-		}
 		out.attempts++
 		tel.JobAttempt(j.Key, out.attempts)
 		sum, err := runOnce(ctx, opts, j, cfg)

@@ -5,6 +5,10 @@
 # the internal/obs layer that snapshots them, the internal/runner worker
 # pool, and the internal/farm coordinator), then the full suite.
 #
+# The farm's long-poll tests (sweep-status and lease long-polls, RunSweep,
+# Shutdown unparking) then run ten more times under -race: they park and
+# wake goroutines, so a leak or a lost wake-up shows up as a flake there.
+#
 # The chaos suite (injected panics, hangs, mid-sweep cancellation) runs
 # last with -count=3 to shake out flakes; it is non-gating so a flaky
 # chaos repetition reports loudly without blocking a commit.
@@ -17,4 +21,5 @@ go vet ./...
 go build ./...
 go test -race ./internal/stats/... ./internal/obs/... ./internal/runner/... ./internal/farm/...
 go test ./...
+go test -race -count=10 -run 'TestSweepLongPoll|TestRunSweep|TestChaosShutdownDrainsParked|TestFarmLongPollWake' ./internal/farm/
 go test -count=3 -run 'TestChaos' ./internal/runner/... ./internal/farm/... || echo "chaos suite: FAILED (non-gating)" >&2

@@ -6,6 +6,10 @@
 # the same corpus with no worker running — every job must come back
 # cached with byte-identical summaries.
 #
+# Each cycle ends by sending SIGTERM while a client's sweep-status
+# long-poll is parked: the coordinator must release it and drain well
+# inside its 5 s shutdown window.
+#
 # Runs the cold+warm cycle in one or both transport modes:
 #
 #   plain  coordinator and clients over plaintext HTTP
@@ -34,9 +38,11 @@ WORK=$(mktemp -d "${TMPDIR:-/tmp}/farmsmoke.XXXXXX")
 
 DPID=""
 WPID=""
+CPID=""
 cleanup() {
     [ -n "$DPID" ] && kill "$DPID" 2>/dev/null || true
     [ -n "$WPID" ] && kill "$WPID" 2>/dev/null || true
+    [ -n "$CPID" ] && kill "$CPID" 2>/dev/null || true
     wait 2>/dev/null || true
     rm -rf "$WORK"
 }
@@ -107,10 +113,29 @@ run_cycle() {
         echo "farmsmoke[$tag]: warm summaries differ from cold summaries" >&2
         exit 1
     }
-    # Release the address for the next cycle.
-    kill "$DPID" && wait "$DPID" 2>/dev/null || true
+    # Release the address for the next cycle, with a status long-poll
+    # parked: a client waits on a sweep no worker will run. A poll that
+    # Shutdown failed to release would hold the drain for its whole 5 s
+    # window.
+    sed 's/"seed": 42/"seed": 43/' examples/farm/specs.json >"$WORK/drain.json"
+    # shellcheck disable=SC2086
+    "$WORK/simfarm" -farm "$ADDR" $CLIENT_ARGS -submit "$WORK/drain.json" -wait \
+        >/dev/null 2>&1 &
+    CPID=$!
+    sleep 1
+    start=$(date +%s)
+    kill "$DPID"
+    wait "$DPID" || { echo "farmsmoke[$tag]: coordinator did not drain cleanly with a status poll parked" >&2; cat "$WORK/simfarmd-$tag.log" >&2; exit 1; }
+    took=$(($(date +%s) - start))
     DPID=""
-    echo "farmsmoke[$tag]: OK (3 jobs simulated cold, 3 served cached, summaries identical)"
+    kill "$CPID" 2>/dev/null || true
+    wait "$CPID" 2>/dev/null || true
+    CPID=""
+    [ "$took" -le 2 ] || {
+        echo "farmsmoke[$tag]: SIGTERM drain took ${took}s with a status poll parked" >&2
+        exit 1
+    }
+    echo "farmsmoke[$tag]: OK (3 jobs simulated cold, 3 served cached, summaries identical, drain released a parked status poll)"
 }
 
 if [ "$MODE" = "plain" ] || [ "$MODE" = "both" ]; then
