@@ -259,12 +259,6 @@ func (e *Engine) Scheme() Scheme { return e.scheme }
 // (Fig 2's use-per-block and hit-rate metrics). It may be nil.
 func (e *Engine) MetaCache() *cache.Cache { return e.meta }
 
-// ParityCache exposes the parity cache; it may be nil.
-func (e *Engine) ParityCache() *cache.Cache { return e.parC }
-
-// MACCache exposes the MAC cache; it may be nil.
-func (e *Engine) MACCache() *cache.Cache { return e.macC }
-
 // Overflows returns total local-counter overflow events across trees.
 func (e *Engine) Overflows() uint64 {
 	var n uint64

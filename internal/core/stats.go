@@ -75,8 +75,7 @@ type Stats struct {
 	// Patterns histograms data operations by Figure 3 case, split by
 	// direction: Patterns[0] counts reads, Patterns[1] writes. Writes see
 	// deeper tree activity than reads under write-allocate metadata
-	// caching, so the split is exposed separately (PatternFracBy) while
-	// PatternFrac keeps reporting the combined Figure 3 distribution.
+	// caching; PatternFrac reports the combined Figure 3 distribution.
 	Patterns [2][NumPatternCases]stats.Counter
 
 	// ParityRMW counts read-modify-write parity updates (shared parity).
@@ -136,23 +135,6 @@ func (s *Stats) PatternFrac() [NumPatternCases]float64 {
 	for i := range out {
 		n := s.Patterns[0][i].Value() + s.Patterns[1][i].Value()
 		out[i] = float64(n) / float64(ops)
-	}
-	return out
-}
-
-// PatternFracBy returns the Figure 3 case distribution of one direction,
-// normalized by that direction's operation count.
-func (s *Stats) PatternFracBy(isWrite bool) [NumPatternCases]float64 {
-	var out [NumPatternCases]float64
-	w, ops := 0, s.DataReads.Value()
-	if isWrite {
-		w, ops = 1, s.DataWrites.Value()
-	}
-	if ops == 0 {
-		return out
-	}
-	for i := range out {
-		out[i] = float64(s.Patterns[w][i].Value()) / float64(ops)
 	}
 	return out
 }

@@ -12,25 +12,10 @@ import (
 	"repro/internal/stats"
 )
 
-// SchedPolicy selects the memory-controller scheduling algorithm.
-type SchedPolicy uint8
-
-const (
-	// FRFCFS is first-ready, first-come-first-served with rank batching —
-	// the standard high-performance policy assumed by the paper's USIMM
-	// methodology (default).
-	FRFCFS SchedPolicy = iota
-	// FCFS serves the oldest request strictly in order; a baseline for
-	// scheduler ablations.
-	FCFS
-)
-
 // Config describes a memory system instance.
 type Config struct {
 	Timing Timing
 	Geom   addrmap.Geometry
-	// Sched selects the scheduling policy (default FRFCFS).
-	Sched SchedPolicy
 	// ReadQ / WriteQ are the per-channel queue capacities (48/48 in
 	// Table III).
 	ReadQ  int
@@ -74,8 +59,9 @@ type Txn struct {
 
 	neededAct bool
 	colIssued bool
-	// seq is the channel-local arrival order used by the bank-indexed
-	// FR-FCFS scan to reproduce flat queue-order tie-breaking.
+	// seq is the channel-local arrival order. Within a rank the queue
+	// lists are already in arrival order; the FR-FCFS scan compares seq to
+	// break ties across ranks, reproducing a flat queue-order scan.
 	seq uint64
 }
 
@@ -144,46 +130,6 @@ func (s *ChannelStats) RowHitRate() float64 {
 	return float64(s.RowHits.Value()) / float64(total)
 }
 
-// bankList holds one bank's queued transactions (one direction) in arrival
-// order, plus lazily maintained class representatives: hitRep is the oldest
-// transaction targeting the open row, missRep the oldest needing a PRE (open
-// bank) or ACT (closed bank). Because every scheduler gate is bank- or
-// rank-level and a queue has a uniform direction, these two are the only
-// transactions FR-FCFS can ever pick from this bank, turning the O(queue)
-// scan into an O(banks) one. dirty is set when the bank's open row changes
-// or a member leaves; enqueues update the reps incrementally.
-type bankList struct {
-	txns    []*Txn
-	hitRep  *Txn
-	missRep *Txn
-	dirty   bool
-}
-
-// recompute rebuilds the representatives against the bank's current row
-// state.
-func (bl *bankList) recompute(bk *bank) {
-	bl.dirty = false
-	bl.hitRep, bl.missRep = nil, nil
-	if !bk.open {
-		if len(bl.txns) > 0 {
-			bl.missRep = bl.txns[0]
-		}
-		return
-	}
-	for _, t := range bl.txns {
-		if t.Loc.Row == bk.row {
-			if bl.hitRep == nil {
-				bl.hitRep = t
-			}
-		} else if bl.missRep == nil {
-			bl.missRep = t
-		}
-		if bl.hitRep != nil && bl.missRep != nil {
-			return
-		}
-	}
-}
-
 // Per-rank cached class release times live in two flat uint64 arrays per
 // queue direction (relHit*/relOther* on channel) so the scheduler's
 // every-scan fold touches a handful of contiguous cache lines instead of a
@@ -194,48 +140,49 @@ func (bl *bankList) recompute(bk *bank) {
 // while a refresh is pending). MaxUint64 also means the class has no
 // candidates. Every term is an absolute timer over state that changes only
 // when a command issues on the rank, a transaction arrives for it, or its
-// refresh state changes, so a cached entry lets the scan skip the rank's
-// banks entirely while no class has matured. Entries are invalidated by
-// zeroing relOther (zero always reads as matured, forcing the walk that
-// rebuilds both values); arrivals instead fold the newcomer's bank timer in
-// as a conservatively early bound.
+// refresh state changes, so a cached entry lets the scan skip the walk of
+// the rank's queue entirely while no class has matured. Entries are
+// invalidated by zeroing relOther (zero always reads as matured, forcing
+// the walk that rebuilds both values); arrivals instead fold the newcomer's
+// bank timer in as a conservatively early bound.
 //
 // Alongside the release times, each rank also caches the class
-// representatives themselves (colRep*/anyRep*): the minimum-seq member of
-// each class that is ready ignoring the shared data bus. Within a rank the
-// bus gate is uniform, so the ready set of a class — and therefore its
-// min-seq representative — can change over time only when a member's own
-// release crosses now. repUntil* records the earliest such future crossing
-// (the first "joiner"); while now < repUntil and no state-changing event
-// has hit the rank, the cached representatives are exactly what a walk
-// would pick, so a matured rank costs one pointer compare instead of a
-// bank walk. Unlike the release times, representatives have no safe stale
-// direction (issuing a stale candidate would violate timing), so every
-// event that mutates rank-local scheduler state zeroes repUntil: any
-// command issued on the rank (column issues remove the representative and
-// raise bank/wtr timers), an arrival for the rank, a refresh drain PRE, a
-// REF issue, and the refPending flip (which withholds ACT candidates).
+// representatives themselves (colRep*/anyRep*): the oldest member of each
+// class that is ready ignoring the shared data bus. Within a rank the bus
+// gate is uniform, so the ready set of a class — and therefore its oldest
+// member — can change over time only when a member's own release crosses
+// now. repUntil* records the earliest such future crossing (the first
+// "joiner"); while now < repUntil and no state-changing event has hit the
+// rank, the cached representatives are exactly what a walk would pick, so a
+// matured rank costs one pointer compare instead of a walk. Unlike the
+// release times, representatives have no safe stale direction (issuing a
+// stale candidate would violate timing), so every event that mutates
+// rank-local scheduler state zeroes repUntil: any command issued on the
+// rank (column issues remove the representative and raise bank/wtr
+// timers), a refresh drain PRE, a REF issue, and the refPending flip (which
+// withholds ACT candidates). An arrival leaves them in place: the newcomer
+// is the youngest member, so it can fill an empty class but never displace
+// a ready representative.
 
 // channel is one DDR channel: queues, banks, bus, and scheduler state.
 type channel struct {
 	cfg   Config
 	ranks []rank
 
-	readQ  []*Txn
-	writeQ []*Txn
-	// bankRead/bankWrite mirror the queues bucketed by (rank, bank) so the
-	// FR-FCFS scan touches each bank's two class representatives instead of
-	// every queued transaction. busyRead/busyWrite are occupancy bitmaps
-	// over the same index space so the scan visits only nonempty banks
-	// (occupancy is typically a small fraction of ranks*banks). rankOf and
-	// bankOf flatten the bank index back to rank number and bank state
-	// without a division on the hot path.
-	bankRead  []bankList
-	bankWrite []bankList
-	busyRead  []uint64
-	busyWrite []uint64
-	rankOf    []uint16
-	banks     []bank // contiguous bank states; rank.banks alias into it
+	// rankRead/rankWrite hold each rank's queued transactions of one
+	// direction in arrival order, so the first ready member of a class in a
+	// walk is its oldest. nRead/nWrite are the channel's queue occupancies.
+	rankRead  [][]*Txn
+	rankWrite [][]*Txn
+	nRead     int
+	nWrite    int
+	// rankBusyRead/rankBusyWrite have bit r set while rank r's list of that
+	// direction is nonempty. The scheduler scan iterates set bits only — an
+	// empty rank has no candidates and no finite release times to fold, so
+	// skipping it is exact.
+	rankBusyRead  uint64
+	rankBusyWrite uint64
+
 	// Cached per-rank class releases (see the comment above channel): one
 	// hit/other pair per direction, carved from a single backing array so
 	// the whole fast path spans eight consecutive cache lines.
@@ -260,24 +207,8 @@ type channel struct {
 	repUntilW []uint64
 	seq       uint64 // arrival counter feeding Txn.seq
 
-	// rankBusyRead/rankBusyWrite summarize the bank bitmaps one level up:
-	// bit r is set while rank r holds any queued transaction of that
-	// direction (counts back the bits). The scheduler scan iterates set
-	// bits only — an empty rank has no candidates and no finite release
-	// times to fold, so skipping it is exact.
-	rankBusyRead  uint64
-	rankBusyWrite uint64
-	rankNRead     []uint16
-	rankNWrite    []uint16
-
-	// pending completions ordered by insertion; completion times are
-	// monotonic enough that a linear scan each cycle is cheap (queues are
-	// small), but we keep them sorted for determinism. nextDone is the
-	// exact minimum Done over pending (maintained on append, recomputed on
-	// delivery; Done never changes once set), so the delivery scan runs
-	// only on cycles a burst actually lands.
-	pending  []*Txn
-	nextDone uint64
+	// pending holds issued transactions until their data burst lands.
+	pending []*Txn
 
 	busFreeAt uint64
 	lastRank  int
@@ -291,7 +222,7 @@ type channel struct {
 	// (bank/bus/rank timers, lastRank) or a transaction arrives, so a scan
 	// that finds nothing issuable also yields the exact earliest re-check
 	// time; issues and enqueues reset the memo to 0 (always scan). This
-	// skips the O(queue) FR-FCFS scan on the majority of ticks.
+	// skips the FR-FCFS scan on the majority of ticks.
 	nextTry uint64
 
 	// refNext memoizes the refresh state machine the same way: the
@@ -331,18 +262,17 @@ func New(cfg Config) *Memory {
 	if cfg.LowWM >= cfg.HighWM || cfg.HighWM > cfg.WriteQ {
 		panic(fmt.Sprintf("dram: bad watermarks low=%d high=%d cap=%d", cfg.LowWM, cfg.HighWM, cfg.WriteQ))
 	}
+	if cfg.Geom.RanksPerChan > 64 {
+		panic("dram: rank occupancy bitmap supports at most 64 ranks per channel")
+	}
 	m := &Memory{cfg: cfg}
+	nr := cfg.Geom.RanksPerChan
 	for c := 0; c < cfg.Geom.Channels; c++ {
 		ch := &channel{cfg: cfg, lastRank: -1}
-		ch.ranks = make([]rank, cfg.Geom.RanksPerChan)
-		nb := cfg.Geom.RanksPerChan * cfg.Geom.BanksPerRank
-		ch.bankRead = make([]bankList, nb)
-		ch.bankWrite = make([]bankList, nb)
-		ch.busyRead = make([]uint64, (nb+63)/64)
-		ch.busyWrite = make([]uint64, (nb+63)/64)
-		ch.rankOf = make([]uint16, nb)
-		rel := make([]uint64, 6*cfg.Geom.RanksPerChan)
-		nr := cfg.Geom.RanksPerChan
+		ch.ranks = make([]rank, nr)
+		ch.rankRead = make([][]*Txn, nr)
+		ch.rankWrite = make([][]*Txn, nr)
+		rel := make([]uint64, 6*nr)
 		ch.relHitR, ch.relOtherR = rel[0:nr], rel[nr:2*nr]
 		ch.relHitW, ch.relOtherW = rel[2*nr:3*nr], rel[3*nr:4*nr]
 		ch.relNextR, ch.relNextW = rel[4*nr:5*nr], rel[5*nr:6*nr]
@@ -353,22 +283,13 @@ func New(cfg Config) *Memory {
 		ch.anyCmdR, ch.anyCmdW = cmds[0:nr], cmds[nr:2*nr]
 		ru := make([]uint64, 2*nr)
 		ch.repUntilR, ch.repUntilW = ru[0:nr], ru[nr:2*nr]
-		if cfg.Geom.RanksPerChan > 64 {
-			panic("dram: rank occupancy bitmap supports at most 64 ranks per channel")
-		}
-		ch.rankNRead = make([]uint16, cfg.Geom.RanksPerChan)
-		ch.rankNWrite = make([]uint16, cfg.Geom.RanksPerChan)
 		// One contiguous backing array for all banks keeps the scan's
 		// bank-state loads on a handful of cache lines.
-		store := make([]bank, nb)
-		ch.banks = store
+		store := make([]bank, nr*cfg.Geom.BanksPerRank)
 		for r := range ch.ranks {
 			ch.ranks[r].banks = store[r*cfg.Geom.BanksPerRank : (r+1)*cfg.Geom.BanksPerRank]
 			// Stagger refreshes across ranks to avoid lockstep stalls.
-			ch.ranks[r].nextRef = cfg.Timing.TREFI * uint64(r+1) / uint64(cfg.Geom.RanksPerChan+1)
-			for b := range ch.ranks[r].banks {
-				ch.rankOf[r*cfg.Geom.BanksPerRank+b] = uint16(r)
-			}
+			ch.ranks[r].nextRef = cfg.Timing.TREFI * uint64(r+1) / uint64(nr+1)
 		}
 		m.channels = append(m.channels, ch)
 	}
@@ -439,38 +360,31 @@ func (m *Memory) ChannelStats(c int) *ChannelStats { return &m.channels[c].Stats
 func (m *Memory) CanEnqueue(c int, t mem.AccessType) bool {
 	ch := m.channels[c]
 	if t == mem.Read {
-		return len(ch.readQ) < m.cfg.ReadQ
+		return ch.nRead < m.cfg.ReadQ
 	}
-	return len(ch.writeQ) < m.cfg.WriteQ
+	return ch.nWrite < m.cfg.WriteQ
 }
 
 // QueueLen returns the current occupancy of channel c's queue for type t.
 func (m *Memory) QueueLen(c int, t mem.AccessType) int {
 	if t == mem.Read {
-		return len(m.channels[c].readQ)
+		return m.channels[c].nRead
 	}
-	return len(m.channels[c].writeQ)
+	return m.channels[c].nWrite
 }
 
 // Enqueue adds a transaction; it returns false (and does nothing) if the
 // target queue is full. The transaction's Loc.Channel selects the channel.
 func (m *Memory) Enqueue(t *Txn) bool {
+	if !m.CanEnqueue(t.Loc.Channel, t.Op.Type) {
+		return false
+	}
 	ch := m.channels[t.Loc.Channel]
 	t.Arrival = m.now
-	if t.Op.Type == mem.Read {
-		if len(ch.readQ) >= m.cfg.ReadQ {
-			return false
-		}
-		ch.readQ = append(ch.readQ, t)
-	} else {
-		if len(ch.writeQ) >= m.cfg.WriteQ {
-			return false
-		}
-		ch.writeQ = append(ch.writeQ, t)
-	}
 	ch.seq++
 	t.seq = ch.seq
-	ch.bankInsert(t)
+	ch.push(t)
+	ch.foldArrival(t)
 	// A new arrival can only add one candidate; every other transaction's
 	// memoized release time is unaffected. cmdReady's gates are absolute
 	// timers, so the bound computed here stays exact until the next issue.
@@ -486,7 +400,7 @@ func (m *Memory) Enqueue(t *Txn) bool {
 func (m *Memory) Pending() int {
 	n := 0
 	for _, ch := range m.channels {
-		n += len(ch.readQ) + len(ch.writeQ) + len(ch.pending)
+		n += ch.nRead + ch.nWrite + len(ch.pending)
 	}
 	return n
 }
@@ -527,17 +441,16 @@ func (m *Memory) NextEvent() uint64 {
 		}
 	}
 	for _, ch := range m.channels {
-		// Completions land at the memoized minimum Done; the refresh state
-		// machine next acts at its own memo (both are kept current by every
-		// tick, idle or not).
-		if len(ch.pending) > 0 {
-			upd(ch.nextDone)
+		// Completions land at their Done cycles; the refresh state machine
+		// next acts at its memo (kept current by every tick, idle or not).
+		for _, t := range ch.pending {
+			upd(t.Done)
 		}
 		upd(ch.refNext)
 		// Command issuability is exactly the scan memo: this is only called
 		// after a fully idle tick, so every channel with queued work just
 		// ran (or still holds) a failed scan whose bound is current.
-		if len(ch.readQ)+len(ch.writeQ) > 0 {
+		if ch.nRead+ch.nWrite > 0 {
 			upd(ch.nextTry)
 		}
 	}
@@ -567,36 +480,29 @@ func (m *Memory) SkipTo(target uint64) {
 
 func (ch *channel) tick(now uint64, done []*Txn) ([]*Txn, bool) {
 	active := false
-	// Deliver completions once the earliest pending burst has landed.
-	if len(ch.pending) > 0 && now >= ch.nextDone {
-		nd := uint64(math.MaxUint64)
-		for i := 0; i < len(ch.pending); {
-			t := ch.pending[i]
-			if t.Done <= now {
-				ch.pending[i] = ch.pending[len(ch.pending)-1]
-				ch.pending = ch.pending[:len(ch.pending)-1]
-				if t.Op.Type == mem.Read {
-					ch.Stats.ReadLat.Observe(float64(t.Done - t.Arrival))
-				}
-				done = append(done, t)
-				active = true
-				continue
+	// Deliver completions whose data burst has landed.
+	for i := 0; i < len(ch.pending); {
+		t := ch.pending[i]
+		if t.Done <= now {
+			ch.pending[i] = ch.pending[len(ch.pending)-1]
+			ch.pending = ch.pending[:len(ch.pending)-1]
+			if t.Op.Type == mem.Read {
+				ch.Stats.ReadLat.Observe(float64(t.Done - t.Arrival))
 			}
-			if t.Done < nd {
-				nd = t.Done
-			}
-			i++
+			done = append(done, t)
+			active = true
+			continue
 		}
-		ch.nextDone = nd
+		i++
 	}
 	if ch.busFreeAt > now {
 		ch.Stats.BusBusy.Inc()
 	}
 
 	// Update drain mode.
-	if len(ch.writeQ) >= ch.cfg.HighWM {
+	if ch.nWrite >= ch.cfg.HighWM {
 		ch.draining = true
-	} else if len(ch.writeQ) <= ch.cfg.LowWM {
+	} else if ch.nWrite <= ch.cfg.LowWM {
 		ch.draining = false
 	}
 
@@ -631,17 +537,8 @@ func (ch *channel) tick(now uint64, done []*Txn) ([]*Txn, bool) {
 		return done, active
 	}
 	until := uint64(math.MaxUint64)
-	primaryWrites := ch.draining || len(ch.readQ) == 0
-	if ch.cfg.Sched == FCFS {
-		primary, secondary := ch.readQ, ch.writeQ
-		if primaryWrites {
-			primary, secondary = ch.writeQ, ch.readQ
-		}
-		if ch.issueFCFS(primary, now, &until) || ch.issueFCFS(secondary, now, &until) {
-			ch.nextTry = 0
-			return done, true
-		}
-	} else if ch.issueFromBanks(primaryWrites, now, &until) || ch.issueFromBanks(!primaryWrites, now, &until) {
+	primaryWrites := ch.draining || ch.nRead == 0
+	if ch.issueFromRanks(primaryWrites, now, &until) || ch.issueFromRanks(!primaryWrites, now, &until) {
 		ch.nextTry = 0
 		return done, true
 	}
@@ -670,7 +567,6 @@ func (ch *channel) issueRefresh(now uint64) bool {
 						ch.tr.InstantArg2(ch.track, "PRE", "rank", int64(r), "bank", int64(b))
 					}
 					ch.precharge(rk, bk, now)
-					ch.markBankDirty(r, b)
 					// The drained bank's hit/PRE candidates became ACT
 					// candidates; a cached representative may be stale.
 					ch.invalReps(r)
@@ -735,47 +631,27 @@ func (ch *channel) refreshBound(now uint64) uint64 {
 	return next
 }
 
-// issueFCFS serves the oldest transaction strictly in order; only the
-// queue head may issue. When it cannot, *until is lowered to its release
-// time.
-func (ch *channel) issueFCFS(q []*Txn, now uint64, until *uint64) bool {
-	for _, t := range q {
-		c, u := ch.cmdReady(t, now)
-		if c != cmdNone {
-			ch.issue(t, c, now)
-			return true
-		}
-		if u < *until {
-			*until = u
-		}
-		return false
-	}
-	return false
-}
-
-// issueFromBanks applies FR-FCFS over one direction's bank buckets: among
-// transactions whose column command is issuable now, it prefers ones in the
-// rank that last used the data bus (rank batching amortizes the tRTRS switch
-// penalty, as commercial controllers do); otherwise the oldest ready row hit
-// wins; otherwise the oldest transaction for which an ACT or PRE can be
-// issued. Only each bank's two class representatives can ever be picked —
-// every gate is bank- or rank-level, so same-bank same-class transactions
-// are interchangeable and the oldest always wins — which makes the scan
-// O(banks) instead of O(queue). Ties across banks resolve by arrival
-// sequence, reproducing the flat queue-order scan exactly. When nothing is
-// issuable, *until is lowered to the earliest cycle any transaction could
-// become issuable with unchanged scheduler state. Returns true if a command
-// was issued.
-func (ch *channel) issueFromBanks(isWrite bool, now uint64, until *uint64) bool {
-	q, rbits := ch.readQ, ch.rankBusyRead
+// issueFromRanks applies FR-FCFS over one direction's per-rank arrival
+// lists: among transactions whose column command is issuable now, it prefers
+// ones in the rank that last used the data bus (rank batching amortizes the
+// tRTRS switch penalty, as commercial controllers do); otherwise the oldest
+// ready row hit wins; otherwise the oldest transaction for which an ACT or
+// PRE can be issued. Each rank contributes the oldest ready member of each
+// class, and ties across ranks resolve by arrival sequence, reproducing the
+// flat queue-order scan exactly (reference_test.go checks this against a
+// memo-free scan). When nothing is issuable, *until is lowered to the
+// earliest cycle any transaction could become issuable with unchanged
+// scheduler state. Returns true if a command was issued.
+func (ch *channel) issueFromRanks(isWrite bool, now uint64, until *uint64) bool {
+	rbits := ch.rankBusyRead
 	relHit, relOther, relNext := ch.relHitR, ch.relOtherR, ch.relNextR
 	colRep, anyRep, anyCmdOf, repUntil := ch.colRepR, ch.anyRepR, ch.anyCmdR, ch.repUntilR
 	if isWrite {
-		q, rbits = ch.writeQ, ch.rankBusyWrite
+		rbits = ch.rankBusyWrite
 		relHit, relOther, relNext = ch.relHitW, ch.relOtherW, ch.relNextW
 		colRep, anyRep, anyCmdOf, repUntil = ch.colRepW, ch.anyRepW, ch.anyCmdW, ch.repUntilW
 	}
-	if len(q) == 0 {
+	if rbits == 0 {
 		return false
 	}
 	tm := &ch.cfg.Timing
@@ -858,8 +734,8 @@ func (ch *channel) issueFromBanks(isWrite bool, now uint64, until *uint64) bool 
 	}
 	// The cached releases say whether anything in a rank can have matured;
 	// while nothing has, fold them into the running bound and skip the
-	// rank's banks entirely. Matured ranks with a valid representative
-	// cache resolve in O(1); only stale ones walk their banks.
+	// rank's walk entirely. Matured ranks with a valid representative
+	// cache resolve in O(1); only stale ones walk their lists.
 	gateClear := now >= colGateOther
 	for rb := rbits; rb != 0; {
 		r := bits.TrailingZeros64(rb)
@@ -956,7 +832,7 @@ func (ch *channel) issueFromBanks(isWrite bool, now uint64, until *uint64) bool 
 	return false
 }
 
-// scanCtx carries one issueFromBanks scan's direction-resolved inputs and
+// scanCtx carries one issueFromRanks scan's direction-resolved inputs and
 // running outputs across per-rank scanRank calls: the candidate slots
 // (colLR/col/any with anyCmd), and u, the running fold of the earliest
 // release time seen among non-issuable candidates.
@@ -969,20 +845,19 @@ type scanCtx struct {
 	anyCmd          cmd
 }
 
-// scanRank walks one rank's occupied banks for the FR-FCFS candidate
-// classes, folding results into sc and rebuilding the rank's cached class
-// releases. colGate is the bus-derived column-issue gate already resolved
-// for this rank (same-rank vs cross-rank); isLast routes ready row hits
-// into the colLR slot. The caller has already consulted the cached releases
-// and only calls here when a class may have matured (or the cache was
-// invalidated).
+// scanRank walks one rank's queue list for the FR-FCFS candidate classes,
+// folding results into sc and rebuilding the rank's cached class releases.
+// colGate is the bus-derived column-issue gate already resolved for this
+// rank (same-rank vs cross-rank); isLast routes ready row hits into the
+// colLR slot. The caller has already consulted the cached releases and only
+// calls here when a class may have matured (or the cache was invalidated).
 func (ch *channel) scanRank(sc *scanCtx, r int, colGate uint64, isLast bool) {
 	now := sc.now
-	lists, busy := ch.bankRead, ch.busyRead
+	list := ch.rankRead[r]
 	relHit, relOther, relNext := ch.relHitR, ch.relOtherR, ch.relNextR
 	colRep, anyRep, anyCmdOf, repUntil := ch.colRepR, ch.anyRepR, ch.anyCmdR, ch.repUntilR
 	if sc.isWrite {
-		lists, busy = ch.bankWrite, ch.busyWrite
+		list = ch.rankWrite[r]
 		relHit, relOther, relNext = ch.relHitW, ch.relOtherW, ch.relNextW
 		colRep, anyRep, anyCmdOf, repUntil = ch.colRepW, ch.anyRepW, ch.anyCmdW, ch.repUntilW
 	}
@@ -999,110 +874,54 @@ func (ch *channel) scanRank(sc *scanCtx, r int, colGate uint64, isLast bool) {
 	if oldest := rk.actWindow[rk.actIdx]; oldest != 0 && oldest-1+tm.TFAW > actBase {
 		actBase = oldest - 1 + tm.TFAW
 	}
-	// Visit the rank's occupied banks, rebuilding the cached releases, the
-	// class representatives (chosen over bus-independent readiness — the
-	// bus gate is rank-uniform and applied at use time), and join, the
+	// Walk the list in arrival order, rebuilding the cached releases, the
+	// class representatives (the first member found ready ignoring the bus
+	// — the bus gate is rank-uniform and applied at use time), and join, the
 	// earliest future cycle at which a not-yet-ready member could enter a
 	// ready set and displace a representative.
 	minCol, minPre, minAct := uint64(math.MaxUint64), uint64(math.MaxUint64), uint64(math.MaxUint64)
 	var cRep, aRep *Txn
 	aCmd := cmdNone
 	join := uint64(math.MaxUint64)
-	banksPer := ch.cfg.Geom.BanksPerRank
-	lo, hi := r*banksPer, (r+1)*banksPer
-	for w := lo >> 6; w <= (hi-1)>>6; w++ {
-		word := busy[w]
-		base := w << 6
-		if base < lo {
-			word &= ^uint64(0) << uint(lo-base)
-		}
-		if base+64 > hi {
-			word &= ^uint64(0) >> uint(base+64-hi)
-		}
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			word &^= 1 << uint(bit)
-			idx := base + bit
-			bl := &lists[idx]
-			bk := &ch.banks[idx]
-			if bl.dirty {
-				bl.recompute(bk)
+	for _, t := range list {
+		bk := &rk.banks[t.Loc.Bank]
+		var rel uint64
+		c := cmdPre
+		switch {
+		case bk.open && bk.row == t.Loc.Row:
+			minCol = min(minCol, bk.nextCol)
+			rel = max(colNoBus, bk.nextCol)
+			if now >= rel {
+				if cRep == nil {
+					cRep = t
+				}
+			} else {
+				join = min(join, rel)
+				sc.u = min(sc.u, max(rel, colGate))
 			}
-			if bk.open {
-				if h := bl.hitRep; h != nil {
-					if bk.nextCol < minCol {
-						minCol = bk.nextCol
-					}
-					rel := colNoBus
-					if bk.nextCol > rel {
-						rel = bk.nextCol
-					}
-					if now >= rel {
-						if cRep == nil || h.seq < cRep.seq {
-							cRep = h
-						}
-					} else {
-						if rel < join {
-							join = rel
-						}
-						if colGate > rel {
-							rel = colGate
-						}
-						if rel < sc.u {
-							sc.u = rel
-						}
-					}
-				}
-				if p := bl.missRep; p != nil {
-					if bk.nextPre < minPre {
-						minPre = bk.nextPre
-					}
-					rel := rk.refUntil
-					if bk.nextPre > rel {
-						rel = bk.nextPre
-					}
-					if now >= rel {
-						if aRep == nil || p.seq < aRep.seq {
-							aRep, aCmd = p, cmdPre
-						}
-					} else {
-						if rel < join {
-							join = rel
-						}
-						if rel < sc.u {
-							sc.u = rel
-						}
-					}
-				}
-			} else if a := bl.missRep; a != nil {
-				if bk.nextAct < minAct {
-					minAct = bk.nextAct
-				}
-				if rk.refPending {
-					// ACT is withheld entirely while a refresh is due
-					// (MaxUint64 release: the REF issue resets the scan
-					// memo, so nothing to fold into until; the refPending
-					// flip and the REF both invalidate the rep cache, so
-					// nothing to fold into join either).
-					continue
-				}
-				rel := actBase
-				if bk.nextAct > rel {
-					rel = bk.nextAct
-				}
-				if now >= rel {
-					if aRep == nil || a.seq < aRep.seq {
-						aRep, aCmd = a, cmdAct
-					}
-				} else {
-					if rel < join {
-						join = rel
-					}
-					if rel < sc.u {
-						sc.u = rel
-					}
-				}
+			continue
+		case bk.open:
+			minPre = min(minPre, bk.nextPre)
+			rel = max(rk.refUntil, bk.nextPre)
+		default:
+			minAct = min(minAct, bk.nextAct)
+			if rk.refPending {
+				// ACT is withheld entirely while a refresh is due
+				// (MaxUint64 release: the REF issue resets the scan memo,
+				// so nothing to fold into until; the refPending flip and
+				// the REF both invalidate the rep cache, so nothing to
+				// fold into join either).
+				continue
 			}
+			rel, c = max(actBase, bk.nextAct), cmdAct
+		}
+		if now >= rel {
+			if aRep == nil {
+				aRep, aCmd = t, c
+			}
+		} else {
+			join = min(join, rel)
+			sc.u = min(sc.u, rel)
 		}
 	}
 	hRel := uint64(math.MaxUint64)
@@ -1251,13 +1070,14 @@ func (ch *channel) busNeed(rnk int, isWrite bool) uint64 {
 
 func (ch *channel) issue(t *Txn, c cmd, now uint64) {
 	// ACT and PRE restructure the rank's candidate classes (a bank flips
-	// between hit/miss and ACT service), so markBankDirty below drops the
-	// cached class releases. A column command does not: it only raises
-	// timers (nextCol, nextPre, wtrUntil, the bus) and removes a candidate,
-	// every one of which leaves the cached releases conservatively early —
-	// a stale entry can cause one spurious walk, which rebuilds it, but can
-	// never hide a matured candidate. Keeping the entries valid spares both
-	// directions' caches on the scheduler's most common command.
+	// between hit/miss and ACT service), so foldRank below lowers the cached
+	// class releases to the new candidates' bounds. A column command does
+	// not touch them: it only raises timers (nextCol, nextPre, wtrUntil, the
+	// bus) and removes a candidate, every one of which leaves the cached
+	// releases conservatively early — a stale entry can cause one spurious
+	// walk, which rebuilds it, but can never hide a matured candidate.
+	// Keeping the entries valid spares both directions' caches on the
+	// scheduler's most common command.
 	tm := &ch.cfg.Timing
 	rk := &ch.ranks[t.Loc.Rank]
 	bk := &rk.banks[t.Loc.Bank]
@@ -1282,7 +1102,6 @@ func (ch *channel) issue(t *Txn, c cmd, now uint64) {
 		rk.actWindow[rk.actIdx] = now + 1
 		rk.actIdx = (rk.actIdx + 1) % len(rk.actWindow)
 		t.neededAct = true
-		ch.markBankDirty(t.Loc.Rank, t.Loc.Bank)
 		// The ACT creates candidates in both directions: row hits in the
 		// freshly opened bank from nextCol = now+tRCD, and PREs for its
 		// other-row transactions from nextPre = now+tRAS. Fold those bank
@@ -1300,7 +1119,6 @@ func (ch *channel) issue(t *Txn, c cmd, now uint64) {
 			ch.tr.InstantArg2(ch.track, "PRE", "rank", int64(t.Loc.Rank), "bank", int64(t.Loc.Bank))
 		}
 		ch.precharge(rk, bk, now)
-		ch.markBankDirty(t.Loc.Rank, t.Loc.Bank)
 		// The PRE turns the bank's transactions into ACT candidates from
 		// nextAct ≥ now+tRP; hit/PRE candidates it removes only leave the
 		// cached bounds conservatively early.
@@ -1346,23 +1164,8 @@ func (ch *channel) issue(t *Txn, c cmd, now uint64) {
 		}
 		t.Done = burstStart + tm.TBurst
 		ch.removeFromQueue(t)
-		if len(ch.pending) == 0 || t.Done < ch.nextDone {
-			ch.nextDone = t.Done
-		}
 		ch.pending = append(ch.pending, t)
 	}
-}
-
-// markBankDirty invalidates both directions' representatives for a bank
-// whose open-row state just changed. The rank-level release caches are NOT
-// touched here: callers either fold the new candidates' conservatively
-// early bounds in (foldRank, for ACT/PRE) or invalidate outright
-// (invalRank, for REF, whose completion can re-expose candidates earlier
-// than any cached bound).
-func (ch *channel) markBankDirty(r, b int) {
-	i := r*ch.cfg.Geom.BanksPerRank + b
-	ch.bankRead[i].dirty = true
-	ch.bankWrite[i].dirty = true
 }
 
 // foldRank lowers both directions' cached class releases for a rank to the
@@ -1422,116 +1225,68 @@ func (ch *channel) precharge(rk *rank, bk *bank, now uint64) {
 	ch.Stats.Precharges.Inc()
 }
 
+// push appends an arriving transaction to its rank's list for its
+// direction; removeFromQueue undoes it.
+func (ch *channel) push(t *Txn) {
+	r := t.Loc.Rank
+	if t.Op.Type == mem.Write {
+		ch.rankWrite[r] = append(ch.rankWrite[r], t)
+		ch.nWrite++
+		ch.rankBusyWrite |= 1 << uint(r)
+	} else {
+		ch.rankRead[r] = append(ch.rankRead[r], t)
+		ch.nRead++
+		ch.rankBusyRead |= 1 << uint(r)
+	}
+}
+
+// removeFromQueue deletes an issued transaction from its rank's list,
+// keeping the list in arrival order.
 func (ch *channel) removeFromQueue(t *Txn) {
-	q := &ch.readQ
-	bl := &ch.bankRead[ch.bankIdx(t)]
+	r := t.Loc.Rank
+	list, n, busy := &ch.rankRead[r], &ch.nRead, &ch.rankBusyRead
 	if t.Op.Type == mem.Write {
-		q = &ch.writeQ
-		bl = &ch.bankWrite[ch.bankIdx(t)]
+		list, n, busy = &ch.rankWrite[r], &ch.nWrite, &ch.rankBusyWrite
 	}
-	// Under FR-FCFS the flat queues are only consulted for occupancy (the
-	// scan runs over the bank buckets and breaks ties by Txn.seq), so a
-	// swap-remove avoids the O(queue) shift; FCFS serves the queue head in
-	// order and needs the ordered removal.
-	for i, x := range *q {
+	l := *list
+	for i, x := range l {
 		if x == t {
-			if ch.cfg.Sched == FCFS {
-				*q = append((*q)[:i], (*q)[i+1:]...)
-			} else {
-				last := len(*q) - 1
-				(*q)[i] = (*q)[last]
-				(*q)[last] = nil
-				*q = (*q)[:last]
-			}
+			copy(l[i:], l[i+1:])
+			l[len(l)-1] = nil
+			*list = l[:len(l)-1]
 			break
 		}
 	}
-	for i, x := range bl.txns {
-		if x == t {
-			bl.txns = append(bl.txns[:i], bl.txns[i+1:]...)
-			break
-		}
-	}
-	bl.dirty = true
-	if len(bl.txns) == 0 {
-		i := ch.bankIdx(t)
-		busy := ch.busyRead
-		if t.Op.Type == mem.Write {
-			busy = ch.busyWrite
-		}
-		busy[i>>6] &^= 1 << (uint(i) & 63)
-	}
-	if t.Op.Type == mem.Write {
-		ch.rankNWrite[t.Loc.Rank]--
-		if ch.rankNWrite[t.Loc.Rank] == 0 {
-			ch.rankBusyWrite &^= 1 << uint(t.Loc.Rank)
-		}
-	} else {
-		ch.rankNRead[t.Loc.Rank]--
-		if ch.rankNRead[t.Loc.Rank] == 0 {
-			ch.rankBusyRead &^= 1 << uint(t.Loc.Rank)
-		}
+	*n--
+	if len(*list) == 0 {
+		*busy &^= 1 << uint(r)
 	}
 }
 
-func (ch *channel) bankIdx(t *Txn) int {
-	return t.Loc.Rank*ch.cfg.Geom.BanksPerRank + t.Loc.Bank
-}
-
-// bankInsert appends an arriving transaction to its bank bucket, updating
-// the class representatives in place when they are clean: the newcomer is
-// the youngest member, so it only fills a class that had no representative.
-func (ch *channel) bankInsert(t *Txn) {
-	i := ch.bankIdx(t)
-	bl, busy := &ch.bankRead[i], ch.busyRead
-	if t.Op.Type == mem.Write {
-		bl, busy = &ch.bankWrite[i], ch.busyWrite
-		ch.rankNWrite[t.Loc.Rank]++
-		ch.rankBusyWrite |= 1 << uint(t.Loc.Rank)
-	} else {
-		ch.rankNRead[t.Loc.Rank]++
-		ch.rankBusyRead |= 1 << uint(t.Loc.Rank)
-	}
-	bl.txns = append(bl.txns, t)
-	busy[i>>6] |= 1 << (uint(i) & 63)
-	// Fold the newcomer's class release into the rank's cached releases
-	// instead of invalidating them: the arrival adds exactly one candidate,
-	// and lowering the matching class bound to the bank timer alone (a
-	// conservatively early stand-in for the full rank-level gate) keeps the
-	// cache sound — at worst one spurious walk rebuilds the exact entry.
+// foldArrival folds an arriving transaction's class release into its
+// rank's cached releases instead of invalidating them: the arrival adds
+// exactly one candidate, and lowering the matching class bound to the bank
+// timer alone (a conservatively early stand-in for the full rank-level
+// gate) keeps the cache sound — at worst one spurious walk rebuilds the
+// exact entry.
+func (ch *channel) foldArrival(t *Txn) {
+	r := t.Loc.Rank
 	relHit, relOther, relNext := ch.relHitR, ch.relOtherR, ch.relNextR
 	if t.Op.Type == mem.Write {
 		relHit, relOther, relNext = ch.relHitW, ch.relOtherW, ch.relNextW
 	}
-	bk := &ch.ranks[t.Loc.Rank].banks[t.Loc.Bank]
-	fold := uint64(0)
-	if bk.open && t.Loc.Row == bk.row {
+	bk := &ch.ranks[r].banks[t.Loc.Bank]
+	var fold uint64
+	switch {
+	case bk.open && t.Loc.Row == bk.row:
 		fold = bk.nextCol
-		if bk.nextCol < relHit[t.Loc.Rank] {
-			relHit[t.Loc.Rank] = bk.nextCol
-		}
-	} else if bk.open {
+		relHit[r] = min(relHit[r], fold)
+	case bk.open:
 		fold = bk.nextPre
-		if bk.nextPre < relOther[t.Loc.Rank] {
-			relOther[t.Loc.Rank] = bk.nextPre
-		}
-	} else {
+		relOther[r] = min(relOther[r], fold)
+	default:
 		fold = bk.nextAct
-		if bk.nextAct < relOther[t.Loc.Rank] {
-			relOther[t.Loc.Rank] = bk.nextAct
-		}
+		relOther[r] = min(relOther[r], fold)
 	}
-	if fold < relNext[t.Loc.Rank] {
-		relNext[t.Loc.Rank] = fold
-	}
-	if bl.dirty {
-		return
-	}
-	if bk.open && t.Loc.Row == bk.row {
-		if bl.hitRep == nil {
-			bl.hitRep = t
-		}
-	} else if bl.missRep == nil {
-		bl.missRep = t
-	}
+	relNext[r] = min(relNext[r], fold)
 }

@@ -186,6 +186,3 @@ func LocalBlock(pte PTE, pa mem.PhysAddr) uint64 {
 
 // MappedPages returns the number of currently mapped pages.
 func (e *Enclave) MappedPages() int { return len(e.pages) }
-
-// MaxLeaves returns an upper bound on leaf-ids handed out so far.
-func (e *Enclave) MaxLeaves() uint64 { return e.nextLeaf }

@@ -263,9 +263,6 @@ func (c *Controller) instant(name string, block uint64) {
 	}
 }
 
-// Span returns the effective fault/scrub window in blocks.
-func (c *Controller) Span() uint64 { return c.span }
-
 // Outstanding counts work the memory system must still drain: unissued
 // requests plus unresolved corrections. The engine adds it to Pending so
 // the simulation keeps ticking until every repair resolves.

@@ -112,8 +112,5 @@ func (s *CounterStore) OverflowRate() float64 {
 	return float64(s.Overflows.Value()) / float64(s.Writes.Value())
 }
 
-// TouchedNodes returns the number of leaf nodes with any written counter.
-func (s *CounterStore) TouchedNodes() int { return s.nodes.Len() }
-
 // OverflowCount returns the number of re-encryption events so far.
 func (s *CounterStore) OverflowCount() uint64 { return s.Overflows.Value() }

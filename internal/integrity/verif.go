@@ -294,12 +294,6 @@ func (m *VerifiedMemory) Replay(block uint64, data [mem.BlockSize]byte, macVal u
 	m.macStore.Set(block, macVal)
 }
 
-// VerifyMAC reports whether candidate bytes verify as block's current
-// content; it is the Verifier used by chipkill correction.
-func (m *VerifiedMemory) VerifyMAC(block uint64, candidate *[mem.BlockSize]byte) bool {
-	return m.macs.Verify(m.addrOf(block), m.counters.Value(block), candidate[:], m.storedMAC(block))
-}
-
 // EmbeddedParity returns the embedded parity field covering block, and
 // whether this geometry embeds parity.
 func (m *VerifiedMemory) EmbeddedParity(block uint64) (uint64, bool) {
@@ -328,9 +322,6 @@ func (m *VerifiedMemory) ParityGroup(block uint64) []uint64 {
 	}
 	return out
 }
-
-// CounterValue exposes the current counter of a block (for tests).
-func (m *VerifiedMemory) CounterValue(block uint64) uint64 { return m.counters.Value(block) }
 
 // Overflows returns the number of re-encryption events so far.
 func (m *VerifiedMemory) Overflows() uint64 { return m.counters.Overflows.Value() }

@@ -67,11 +67,6 @@ func (l Layout) BlockAddr(dataBlock uint64) mem.PhysAddr {
 	return l.Base + mem.PhysAddr(l.FieldIndex(dataBlock)/FieldsPerBlock*mem.BlockSize)
 }
 
-// FieldSlot returns the field's position (0..7) within its metadata block.
-func (l Layout) FieldSlot(dataBlock uint64) int {
-	return int(l.FieldIndex(dataBlock) % FieldsPerBlock)
-}
-
 // StorageBlocks returns the number of 64-byte parity metadata blocks needed
 // to protect dataBlocks data blocks.
 func (l Layout) StorageBlocks(dataBlocks uint64) uint64 {

@@ -5,6 +5,10 @@
 # the internal/obs layer that snapshots them, the internal/runner worker
 # pool, and the internal/farm coordinator), then the full suite.
 #
+# The DRAM scheduler's differential fuzz target then runs for 30 s: it
+# checks the memoized FR-FCFS scheduler against the memo-free reference in
+# internal/dram/reference_test.go on fuzzed traffic.
+#
 # The farm's long-poll tests (sweep-status and lease long-polls, RunSweep,
 # Shutdown unparking) then run ten more times under -race: they park and
 # wake goroutines, so a leak or a lost wake-up shows up as a flake there.
@@ -21,5 +25,6 @@ go vet ./...
 go build ./...
 go test -race ./internal/stats/... ./internal/obs/... ./internal/runner/... ./internal/farm/...
 go test ./...
+go test -run '^$' -fuzz '^FuzzSchedulerMatchesReference$' -fuzztime 30s ./internal/dram/
 go test -race -count=10 -run 'TestSweepLongPoll|TestRunSweep|TestChaosShutdownDrainsParked|TestFarmLongPollWake' ./internal/farm/
 go test -count=3 -run 'TestChaos' ./internal/runner/... ./internal/farm/... || echo "chaos suite: FAILED (non-gating)" >&2
