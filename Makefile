@@ -11,8 +11,10 @@ build:
 test:
 	go test ./...
 
+# The packages scripts/check.sh race-checks: those with a documented
+# concurrency contract.
 race:
-	go test -race ./internal/stats/... ./internal/obs/...
+	go test -race ./internal/stats/... ./internal/obs/... ./internal/runner/... ./internal/farm/...
 
 # Hot-loop microbenchmarks (engine, DRAM, integrity stores) and the reduced
 # Figure 8 wall-clock benchmark. End-to-end sweep numbers come from the

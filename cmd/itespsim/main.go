@@ -151,6 +151,8 @@ func main() {
 	spec := cfg.Benchmark
 
 	var sources []trace.Source
+	var paths []string
+	var readers []*trace.Reader
 	if *traceFiles != "" {
 		// Trace-driven input lives outside the spec, so such a run has no
 		// honest content address.
@@ -158,7 +160,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-trace cannot be combined with -spec or -result-json: trace-driven runs are not content-addressable")
 			os.Exit(1)
 		}
-		paths := strings.Split(*traceFiles, ",")
+		paths = strings.Split(*traceFiles, ",")
 		if len(paths) != cfg.Cores {
 			fmt.Fprintf(os.Stderr, "need %d trace files, got %d\n", cfg.Cores, len(paths))
 			os.Exit(1)
@@ -170,7 +172,8 @@ func main() {
 				os.Exit(1)
 			}
 			defer f.Close()
-			sources = append(sources, trace.NewReader(f))
+			readers = append(readers, trace.NewReader(f))
+			sources = append(sources, readers[len(readers)-1])
 		}
 	}
 
@@ -213,6 +216,12 @@ func main() {
 	r, err := sim.RunContext(ctx, cfg)
 	if *progress {
 		fmt.Fprintln(os.Stderr)
+	}
+	// A decoding error ends that core's input early, so the results would
+	// describe a different, shorter trace.
+	if terr := traceErr(paths, readers); terr != nil {
+		fmt.Fprintln(os.Stderr, terr)
+		os.Exit(1)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -295,6 +304,17 @@ func exitCode(err error) int {
 	default:
 		return 1
 	}
+}
+
+// traceErr returns the first decoding error among the trace readers, naming
+// its file; readers[i] reads paths[i].
+func traceErr(paths []string, readers []*trace.Reader) error {
+	for i, r := range readers {
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("trace file %s: %w", paths[i], err)
+		}
+	}
+	return nil
 }
 
 // loadSpec reads a runspec JSON from path ("-" for stdin), rejecting

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestExitCode pins the documented process exit codes for each error
@@ -30,5 +34,32 @@ func TestExitCode(t *testing.T) {
 		if got := exitCode(c.err); got != c.want {
 			t.Errorf("%s: exitCode = %d, want %d", c.name, got, c.want)
 		}
+	}
+}
+
+// TestTraceErrNamesFile checks that a truncated trace file is reported as an
+// error naming the file once its reader has been drained, and that an intact
+// one is not.
+func TestTraceErrNamesFile(t *testing.T) {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	w.Write(trace.Record{Type: mem.Read, VAddr: 64})
+	w.Write(trace.Record{Type: mem.Write, VAddr: 128})
+	w.Flush()
+	whole := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	cut := trace.NewReader(bytes.NewReader(buf.Bytes()[:24]))
+	for _, r := range []*trace.Reader{whole, cut} {
+		for {
+			if _, ok := r.Next(); !ok {
+				break
+			}
+		}
+	}
+	if err := traceErr([]string{"a.trc"}, []*trace.Reader{whole}); err != nil {
+		t.Fatalf("intact trace: %v", err)
+	}
+	err := traceErr([]string{"a.trc", "b.trc"}, []*trace.Reader{whole, cut})
+	if err == nil || !strings.Contains(err.Error(), "b.trc") {
+		t.Fatalf("truncated trace: got %v, want an error naming b.trc", err)
 	}
 }

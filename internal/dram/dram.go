@@ -1,9 +1,10 @@
 package dram
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
 	"strconv"
 
 	"repro/internal/addrmap"
@@ -59,9 +60,9 @@ type Txn struct {
 
 	neededAct bool
 	colIssued bool
-	// seq is the channel-local arrival order. Within a rank the queue
-	// lists are already in arrival order; the FR-FCFS scan compares seq to
-	// break ties across ranks, reproducing a flat queue-order scan.
+	// seq is the channel-local arrival order. Each bank's queues are
+	// already in arrival order; the FR-FCFS scan compares the class heads'
+	// seq across banks, reproducing a flat queue-order scan.
 	seq uint64
 }
 
@@ -79,13 +80,48 @@ const (
 	cmdWrite
 )
 
-// bank is the per-bank row-buffer state machine.
+// bank is the per-bank row-buffer state machine plus the bank's place in
+// the FR-FCFS index.
 type bank struct {
+	// q holds the bank's queued transactions per direction (mem.Read,
+	// mem.Write) in arrival order.
+	q [2][]*Txn
+	// at[k] is 1 + the position of the bank's entry in head table k
+	// (channel.heads), or 0 while the bank has no head of that kind.
+	at [4]int32
+
 	open    bool
 	row     int
 	nextAct uint64 // earliest ACTIVATE (tRC, tRP)
 	nextCol uint64 // earliest column command (tRCD)
 	nextPre uint64 // earliest PRECHARGE (tRAS, tRTP, tWR)
+}
+
+// Head-table kinds: a kind is a class base plus a direction (mem.Read 0,
+// mem.Write 1). A bank's hit head is its oldest queued row hit (open bank,
+// same row); its other head is its oldest queued PRE candidate (open bank,
+// other row) or ACT candidate (closed bank). Every member of a class in a
+// bank needs the same command under the same timers, so the members become
+// issuable together and only the head, the oldest, can be FR-FCFS's pick.
+const (
+	hitHeads   = 0
+	otherHeads = 2
+)
+
+// head is one entry of a head table: a bank's head t of one kind, with the
+// copies of t's arrival sequence number and rank that the scan compares,
+// the command t needs, and rel, the earliest cycle that command can issue
+// ignoring the shared data bus, with the rank gates folded in (MaxUint64
+// for an ACT while the rank's refresh is pending). Release times are
+// recomputed at every event that moves one of their terms: a command on the
+// bank, an ACT or write column command on its rank, a REF, or a
+// refresh-pending flip.
+type head struct {
+	rel  uint64
+	seq  uint64
+	t    *Txn
+	rank int32
+	c    cmd
 }
 
 // rank holds rank-level constraints shared by its banks.
@@ -130,82 +166,18 @@ func (s *ChannelStats) RowHitRate() float64 {
 	return float64(s.RowHits.Value()) / float64(total)
 }
 
-// Per-rank cached class release times live in two flat uint64 arrays per
-// queue direction (relHit*/relOther* on channel) so the scheduler's
-// every-scan fold touches a handful of contiguous cache lines instead of a
-// struct per rank. relHit[r] is the earliest cycle a row-hit column command
-// could issue ignoring the shared data bus (the bus gate has only two
-// per-scan values, same-rank and cross-rank, applied live); relOther[r] is
-// the earlier of the rank's PRE and ACT releases (ACT counts as MaxUint64
-// while a refresh is pending). MaxUint64 also means the class has no
-// candidates. Every term is an absolute timer over state that changes only
-// when a command issues on the rank, a transaction arrives for it, or its
-// refresh state changes, so a cached entry lets the scan skip the walk of
-// the rank's queue entirely while no class has matured. Entries are
-// invalidated by zeroing relOther (zero always reads as matured, forcing
-// the walk that rebuilds both values); arrivals instead fold the newcomer's
-// bank timer in as a conservatively early bound.
-//
-// Alongside the release times, each rank also caches the class
-// representatives themselves (colRep*/anyRep*): the oldest member of each
-// class that is ready ignoring the shared data bus. Within a rank the bus
-// gate is uniform, so the ready set of a class — and therefore its oldest
-// member — can change over time only when a member's own release crosses
-// now. repUntil* records the earliest such future crossing (the first
-// "joiner"); while now < repUntil and no state-changing event has hit the
-// rank, the cached representatives are exactly what a walk would pick, so a
-// matured rank costs one pointer compare instead of a walk. Unlike the
-// release times, representatives have no safe stale direction (issuing a
-// stale candidate would violate timing), so every event that mutates
-// rank-local scheduler state zeroes repUntil: any command issued on the
-// rank (column issues remove the representative and raise bank/wtr
-// timers), a refresh drain PRE, a REF issue, and the refPending flip (which
-// withholds ACT candidates). An arrival leaves them in place: the newcomer
-// is the youngest member, so it can fill an empty class but never displace
-// a ready representative.
-
 // channel is one DDR channel: queues, banks, bus, and scheduler state.
 type channel struct {
 	cfg   Config
 	ranks []rank
 
-	// rankRead/rankWrite hold each rank's queued transactions of one
-	// direction in arrival order, so the first ready member of a class in a
-	// walk is its oldest. nRead/nWrite are the channel's queue occupancies.
-	rankRead  [][]*Txn
-	rankWrite [][]*Txn
-	nRead     int
-	nWrite    int
-	// rankBusyRead/rankBusyWrite have bit r set while rank r's list of that
-	// direction is nonempty. The scheduler scan iterates set bits only — an
-	// empty rank has no candidates and no finite release times to fold, so
-	// skipping it is exact.
-	rankBusyRead  uint64
-	rankBusyWrite uint64
-
-	// Cached per-rank class releases (see the comment above channel): one
-	// hit/other pair per direction, carved from a single backing array so
-	// the whole fast path spans eight consecutive cache lines.
-	relHitR   []uint64
-	relOtherR []uint64
-	relHitW   []uint64
-	relOtherW []uint64
-	// relNext*[r] = min(relHit*[r], relOther*[r]), maintained alongside the
-	// pair so the scan's common case — a rank with nothing matured and the
-	// bus gate clear — costs a single load and compare.
-	relNextR []uint64
-	relNextW []uint64
-	// Cached per-rank class representatives with their validity horizon
-	// (see the comment above channel). repUntil==0 means invalid.
-	colRepR   []*Txn
-	colRepW   []*Txn
-	anyRepR   []*Txn
-	anyRepW   []*Txn
-	anyCmdR   []cmd
-	anyCmdW   []cmd
-	repUntilR []uint64
-	repUntilW []uint64
-	seq       uint64 // arrival counter feeding Txn.seq
+	// heads is the FR-FCFS index: per kind (hitHeads or otherHeads plus a
+	// direction) one dense table holding an entry for every bank with a
+	// head of that kind, in no particular order. n counts the queued
+	// transactions per direction.
+	heads [4][]head
+	n     [2]int
+	seq   uint64 // arrival counter feeding Txn.seq
 
 	// pending holds issued transactions until their data burst lands.
 	pending []*Txn
@@ -221,8 +193,9 @@ type channel struct {
 	// an absolute timer over state that only changes when a command issues
 	// (bank/bus/rank timers, lastRank) or a transaction arrives, so a scan
 	// that finds nothing issuable also yields the exact earliest re-check
-	// time; issues and enqueues reset the memo to 0 (always scan). This
-	// skips the FR-FCFS scan on the majority of ticks.
+	// time; issues reset the memo to 0 (always scan) and enqueues lower it
+	// to the newcomer's release. A refresh-pending flip between scans can
+	// only withhold ACTs, which leaves the memo early, never late.
 	nextTry uint64
 
 	// refNext memoizes the refresh state machine the same way: the
@@ -262,32 +235,14 @@ func New(cfg Config) *Memory {
 	if cfg.LowWM >= cfg.HighWM || cfg.HighWM > cfg.WriteQ {
 		panic(fmt.Sprintf("dram: bad watermarks low=%d high=%d cap=%d", cfg.LowWM, cfg.HighWM, cfg.WriteQ))
 	}
-	if cfg.Geom.RanksPerChan > 64 {
-		panic("dram: rank occupancy bitmap supports at most 64 ranks per channel")
-	}
 	m := &Memory{cfg: cfg}
-	nr := cfg.Geom.RanksPerChan
+	nr, nb := cfg.Geom.RanksPerChan, cfg.Geom.BanksPerRank
 	for c := 0; c < cfg.Geom.Channels; c++ {
 		ch := &channel{cfg: cfg, lastRank: -1}
 		ch.ranks = make([]rank, nr)
-		ch.rankRead = make([][]*Txn, nr)
-		ch.rankWrite = make([][]*Txn, nr)
-		rel := make([]uint64, 6*nr)
-		ch.relHitR, ch.relOtherR = rel[0:nr], rel[nr:2*nr]
-		ch.relHitW, ch.relOtherW = rel[2*nr:3*nr], rel[3*nr:4*nr]
-		ch.relNextR, ch.relNextW = rel[4*nr:5*nr], rel[5*nr:6*nr]
-		reps := make([]*Txn, 4*nr)
-		ch.colRepR, ch.colRepW = reps[0:nr], reps[nr:2*nr]
-		ch.anyRepR, ch.anyRepW = reps[2*nr:3*nr], reps[3*nr:4*nr]
-		cmds := make([]cmd, 2*nr)
-		ch.anyCmdR, ch.anyCmdW = cmds[0:nr], cmds[nr:2*nr]
-		ru := make([]uint64, 2*nr)
-		ch.repUntilR, ch.repUntilW = ru[0:nr], ru[nr:2*nr]
-		// One contiguous backing array for all banks keeps the scan's
-		// bank-state loads on a handful of cache lines.
-		store := make([]bank, nr*cfg.Geom.BanksPerRank)
+		store := make([]bank, nr*nb)
 		for r := range ch.ranks {
-			ch.ranks[r].banks = store[r*cfg.Geom.BanksPerRank : (r+1)*cfg.Geom.BanksPerRank]
+			ch.ranks[r].banks = store[r*nb : (r+1)*nb]
 			// Stagger refreshes across ranks to avoid lockstep stalls.
 			ch.ranks[r].nextRef = cfg.Timing.TREFI * uint64(r+1) / uint64(nr+1)
 		}
@@ -360,17 +315,14 @@ func (m *Memory) ChannelStats(c int) *ChannelStats { return &m.channels[c].Stats
 func (m *Memory) CanEnqueue(c int, t mem.AccessType) bool {
 	ch := m.channels[c]
 	if t == mem.Read {
-		return ch.nRead < m.cfg.ReadQ
+		return ch.n[mem.Read] < m.cfg.ReadQ
 	}
-	return ch.nWrite < m.cfg.WriteQ
+	return ch.n[mem.Write] < m.cfg.WriteQ
 }
 
 // QueueLen returns the current occupancy of channel c's queue for type t.
 func (m *Memory) QueueLen(c int, t mem.AccessType) int {
-	if t == mem.Read {
-		return m.channels[c].nRead
-	}
-	return m.channels[c].nWrite
+	return m.channels[c].n[t]
 }
 
 // Enqueue adds a transaction; it returns false (and does nothing) if the
@@ -384,10 +336,9 @@ func (m *Memory) Enqueue(t *Txn) bool {
 	ch.seq++
 	t.seq = ch.seq
 	ch.push(t)
-	ch.foldArrival(t)
 	// A new arrival can only add one candidate; every other transaction's
-	// memoized release time is unaffected. cmdReady's gates are absolute
-	// timers, so the bound computed here stays exact until the next issue.
+	// release time is unaffected. cmdReady's gates are absolute timers, so
+	// the bound computed here stays exact until the next issue.
 	if c, u := ch.cmdReady(t, m.now); c != cmdNone {
 		ch.nextTry = 0
 	} else if u < ch.nextTry {
@@ -400,7 +351,7 @@ func (m *Memory) Enqueue(t *Txn) bool {
 func (m *Memory) Pending() int {
 	n := 0
 	for _, ch := range m.channels {
-		n += ch.nRead + ch.nWrite + len(ch.pending)
+		n += ch.n[mem.Read] + ch.n[mem.Write] + len(ch.pending)
 	}
 	return n
 }
@@ -450,7 +401,7 @@ func (m *Memory) NextEvent() uint64 {
 		// Command issuability is exactly the scan memo: this is only called
 		// after a fully idle tick, so every channel with queued work just
 		// ran (or still holds) a failed scan whose bound is current.
-		if ch.nRead+ch.nWrite > 0 {
+		if ch.n[mem.Read]+ch.n[mem.Write] > 0 {
 			upd(ch.nextTry)
 		}
 	}
@@ -500,9 +451,9 @@ func (ch *channel) tick(now uint64, done []*Txn) ([]*Txn, bool) {
 	}
 
 	// Update drain mode.
-	if ch.nWrite >= ch.cfg.HighWM {
+	if ch.n[mem.Write] >= ch.cfg.HighWM {
 		ch.draining = true
-	} else if ch.nWrite <= ch.cfg.LowWM {
+	} else if ch.n[mem.Write] <= ch.cfg.LowWM {
 		ch.draining = false
 	}
 
@@ -517,11 +468,8 @@ func (ch *channel) tick(now uint64, done []*Txn) ([]*Txn, bool) {
 			rk := &ch.ranks[r]
 			if !rk.refPending && now >= rk.nextRef {
 				rk.refPending = true
-				// ACT candidates are withheld from here on; a cached
-				// representative could be one of them, so drop the reps
-				// (the release caches stay — they are only conservatively
-				// early now, which costs at most a spurious walk).
-				ch.invalReps(r)
+				// ACT candidates are withheld from here on.
+				ch.rankRelease(rk)
 			}
 		}
 		if ch.issueRefresh(now) {
@@ -537,8 +485,11 @@ func (ch *channel) tick(now uint64, done []*Txn) ([]*Txn, bool) {
 		return done, active
 	}
 	until := uint64(math.MaxUint64)
-	primaryWrites := ch.draining || ch.nRead == 0
-	if ch.issueFromRanks(primaryWrites, now, &until) || ch.issueFromRanks(!primaryWrites, now, &until) {
+	primary, secondary := mem.Read, mem.Write
+	if ch.draining || ch.n[mem.Read] == 0 {
+		primary, secondary = mem.Write, mem.Read
+	}
+	if ch.issueFrom(primary, now, &until) || ch.issueFrom(secondary, now, &until) {
 		ch.nextTry = 0
 		return done, true
 	}
@@ -567,9 +518,6 @@ func (ch *channel) issueRefresh(now uint64) bool {
 						ch.tr.InstantArg2(ch.track, "PRE", "rank", int64(r), "bank", int64(b))
 					}
 					ch.precharge(rk, bk, now)
-					// The drained bank's hit/PRE candidates became ACT
-					// candidates; a cached representative may be stale.
-					ch.invalReps(r)
 					return true
 				}
 			}
@@ -585,12 +533,12 @@ func (ch *channel) issueRefresh(now uint64) bool {
 			rk.refUntil = now + ch.cfg.Timing.TRFC
 			rk.nextRef += ch.cfg.Timing.TREFI
 			rk.refPending = false
-			ch.invalRank(r)
 			for b := range rk.banks {
 				if rk.banks[b].nextAct < rk.refUntil {
 					rk.banks[b].nextAct = rk.refUntil
 				}
 			}
+			ch.rankRelease(rk)
 			ch.Stats.Refreshes.Inc()
 			return true
 		}
@@ -631,40 +579,34 @@ func (ch *channel) refreshBound(now uint64) uint64 {
 	return next
 }
 
-// issueFromRanks applies FR-FCFS over one direction's per-rank arrival
-// lists: among transactions whose column command is issuable now, it prefers
-// ones in the rank that last used the data bus (rank batching amortizes the
-// tRTRS switch penalty, as commercial controllers do); otherwise the oldest
-// ready row hit wins; otherwise the oldest transaction for which an ACT or
-// PRE can be issued. Each rank contributes the oldest ready member of each
-// class, and ties across ranks resolve by arrival sequence, reproducing the
-// flat queue-order scan exactly (reference_test.go checks this against a
-// memo-free scan). When nothing is issuable, *until is lowered to the
-// earliest cycle any transaction could become issuable with unchanged
+// issueFrom applies FR-FCFS to one direction's queued transactions: among
+// those whose column command is issuable now, it prefers ones in the rank
+// that last used the data bus (rank batching amortizes the tRTRS switch
+// penalty, as commercial controllers do); otherwise the oldest ready row hit
+// wins; otherwise the oldest transaction for which an ACT or PRE can be
+// issued. Only class heads are visited: a head is ready exactly when every
+// member of its class in that bank is, so the oldest ready head of a class
+// is the oldest ready member, and comparing arrival sequence numbers across
+// banks reproduces the flat queue-order scan (reference_test.go checks this
+// against a memo-free scan). When nothing is issuable, *until is lowered to
+// the earliest cycle any head could become issuable with unchanged
 // scheduler state. Returns true if a command was issued.
-func (ch *channel) issueFromRanks(isWrite bool, now uint64, until *uint64) bool {
-	rbits := ch.rankBusyRead
-	relHit, relOther, relNext := ch.relHitR, ch.relOtherR, ch.relNextR
-	colRep, anyRep, anyCmdOf, repUntil := ch.colRepR, ch.anyRepR, ch.anyCmdR, ch.repUntilR
-	if isWrite {
-		rbits = ch.rankBusyWrite
-		relHit, relOther, relNext = ch.relHitW, ch.relOtherW, ch.relNextW
-		colRep, anyRep, anyCmdOf, repUntil = ch.colRepW, ch.anyRepW, ch.anyCmdW, ch.repUntilW
-	}
-	if rbits == 0 {
+func (ch *channel) issueFrom(d mem.AccessType, now uint64, until *uint64) bool {
+	hits, others := ch.heads[hitHeads+d], ch.heads[otherHeads+d]
+	if len(hits)+len(others) == 0 {
 		return false
 	}
 	tm := &ch.cfg.Timing
-	lead, colCmd := tm.TCAS, cmdRead
-	if isWrite {
-		lead, colCmd = tm.TCWD, cmdWrite
+	lead := tm.TCAS
+	if d == mem.Write {
+		lead = tm.TCWD
 	}
 	// The shared-bus gate on column commands takes just two values per scan:
 	// one for the rank that last used the bus, one for every other rank.
 	busSame, busOther := ch.busFreeAt, ch.busFreeAt
 	if ch.lastRank >= 0 {
 		busOther += tm.TRTRS
-		if ch.lastWasWr != isWrite {
+		if ch.lastWasWr != (d == mem.Write) {
 			busSame += 2
 			busOther += 2
 		}
@@ -676,307 +618,45 @@ func (ch *channel) issueFromRanks(isWrite bool, now uint64, until *uint64) bool 
 	if busOther > lead {
 		colGateOther = busOther - lead
 	}
-	sc := scanCtx{isWrite: isWrite, now: now, u: *until}
-	// Rank batching makes the last-used rank the likeliest source of the
-	// winning candidate, and a ready same-rank row hit (colLR) beats every
-	// other class outright — so scan that rank first and short-circuit the
-	// rest when one is found. The early exit is decision-identical to the
-	// full scan: colLR can only come from lastRank, the skipped ranks' state
-	// (timers and cached releases) is untouched and therefore not stale, and
-	// an issuing scan's *until is discarded by the caller (nextTry resets to
-	// zero), so the partial fold is never observed.
-	// Ranks whose only matured class is ACT/PRE are deferred: a ready row
-	// hit anywhere beats the any-class outright, so their walk is needed
-	// only when no col candidate turns up. Deferred walks are skipped
-	// entirely on a col issue (the caller then resets the scan memo, so the
-	// partial until-fold and the stale-matured cache entries are never
-	// observed; the entries force their own rebuild on the next scan).
-	var defer64 uint64
-	deferLR := -1
-	if lr := ch.lastRank; lr >= 0 && rbits&(1<<uint(lr)) != 0 {
-		hGate := relHit[lr]
-		if colGateSame > hGate {
-			hGate = colGateSame
+	lr := int32(ch.lastRank)
+	u := *until
+	var same, col, other *head
+	sameSeq, colSeq, otherSeq := uint64(math.MaxUint64), uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for i := range hits {
+		e := &hits[i]
+		rel, gate := e.rel, colGateOther
+		if e.rank == lr {
+			gate = colGateSame
 		}
-		ro := relOther[lr]
-		if now >= hGate {
-			// A nil representative with a matured class means an arrival
-			// filled the class after the last walk (arrivals leave the rep
-			// cache in place — a newcomer has the largest seq, so it can
-			// fill an empty slot but never displace a ready winner); walk
-			// to pick it up.
-			if now < repUntil[lr] && colRep[lr] != nil {
-				ch.issue(colRep[lr], colCmd, now)
-				return true
-			}
-			ch.scanRank(&sc, lr, colGateSame, true)
-			if sc.colLR != nil {
-				ch.issue(sc.colLR, colCmd, now)
-				return true
-			}
-		} else if now >= ro {
-			if a := anyRep[lr]; now < repUntil[lr] && a != nil {
-				if sc.any == nil || a.seq < sc.any.seq {
-					sc.any, sc.anyCmd = a, anyCmdOf[lr]
-				}
-			} else {
-				deferLR = lr
-			}
-		} else {
-			if hGate < sc.u {
-				sc.u = hGate
-			}
-			if ro < sc.u {
-				sc.u = ro
-			}
+		if gate > rel {
+			rel = gate
 		}
-		rbits &^= 1 << uint(lr)
-	}
-	// The cached releases say whether anything in a rank can have matured;
-	// while nothing has, fold them into the running bound and skip the
-	// rank's walk entirely. Matured ranks with a valid representative
-	// cache resolve in O(1); only stale ones walk their lists.
-	gateClear := now >= colGateOther
-	for rb := rbits; rb != 0; {
-		r := bits.TrailingZeros64(rb)
-		rb &^= 1 << uint(r)
-		if gateClear {
-			// With the bus gate clear, maturity of either class reduces to
-			// one compare against the combined bound, which is also exactly
-			// the value a non-matured rank folds into the running bound
-			// (hGate = relHit > now, so min(hGate, ro) = relNext).
-			if n := relNext[r]; now < n {
-				if n < sc.u {
-					sc.u = n
-				}
-				continue
-			}
-		} else if ro := relOther[r]; now < ro {
-			// Bus-gated: no column command can issue anywhere, so only the
-			// ACT/PRE class can mature; fold min(max(relHit, gate), ro).
-			f := relHit[r]
-			if colGateOther > f {
-				f = colGateOther
-			}
-			if ro < f {
-				f = ro
-			}
-			if f < sc.u {
-				sc.u = f
-			}
-			continue
-		}
-		hGate := relHit[r]
-		if colGateOther > hGate {
-			hGate = colGateOther
-		}
-		ro := relOther[r]
-		om := now >= ro
-		if now >= hGate {
-			// Cache usable only if every matured class has a winner on
-			// record; a nil slot means an arrival filled the class after
-			// the last walk, so walk to pick it up.
-			if now < repUntil[r] && colRep[r] != nil && (!om || anyRep[r] != nil) {
-				c := colRep[r]
-				if sc.col == nil || c.seq < sc.col.seq {
-					sc.col = c
-				}
-				if om {
-					a := anyRep[r]
-					if sc.any == nil || a.seq < sc.any.seq {
-						sc.any, sc.anyCmd = a, anyCmdOf[r]
-					}
-				}
-				continue
-			}
-			ch.scanRank(&sc, r, colGateOther, false)
-			continue
-		}
-		// om holds here: the fast skips above caught every rank with
-		// nothing matured.
-		if a := anyRep[r]; now < repUntil[r] && a != nil {
-			if sc.any == nil || a.seq < sc.any.seq {
-				sc.any, sc.anyCmd = a, anyCmdOf[r]
-			}
-			continue
-		}
-		defer64 |= 1 << uint(r)
-	}
-	if sc.col == nil {
-		// No ready row hit: the any-class decides, so walk the deferred
-		// ranks now. A deferred rank cannot supply a col candidate (its
-		// conservatively early hit bound is still in the future), so the
-		// candidate set matches the eager walk exactly.
-		if deferLR >= 0 {
-			ch.scanRank(&sc, deferLR, colGateSame, true)
-		}
-		for rb := defer64; rb != 0; {
-			r := bits.TrailingZeros64(rb)
-			rb &^= 1 << uint(r)
-			ch.scanRank(&sc, r, colGateOther, false)
-		}
-	}
-	*until = sc.u
-	if sc.colLR != nil {
-		ch.issue(sc.colLR, colCmd, now)
-		return true
-	}
-	if sc.col != nil {
-		ch.issue(sc.col, colCmd, now)
-		return true
-	}
-	if sc.any != nil {
-		ch.issue(sc.any, sc.anyCmd, now)
-		return true
-	}
-	return false
-}
-
-// scanCtx carries one issueFromRanks scan's direction-resolved inputs and
-// running outputs across per-rank scanRank calls: the candidate slots
-// (colLR/col/any with anyCmd), and u, the running fold of the earliest
-// release time seen among non-issuable candidates.
-type scanCtx struct {
-	isWrite bool
-	now     uint64
-	u       uint64
-
-	colLR, col, any *Txn
-	anyCmd          cmd
-}
-
-// scanRank walks one rank's queue list for the FR-FCFS candidate classes,
-// folding results into sc and rebuilding the rank's cached class releases.
-// colGate is the bus-derived column-issue gate already resolved for this
-// rank (same-rank vs cross-rank); isLast routes ready row hits into the
-// colLR slot. The caller has already consulted the cached releases and only
-// calls here when a class may have matured (or the cache was invalidated).
-func (ch *channel) scanRank(sc *scanCtx, r int, colGate uint64, isLast bool) {
-	now := sc.now
-	list := ch.rankRead[r]
-	relHit, relOther, relNext := ch.relHitR, ch.relOtherR, ch.relNextR
-	colRep, anyRep, anyCmdOf, repUntil := ch.colRepR, ch.anyRepR, ch.anyCmdR, ch.repUntilR
-	if sc.isWrite {
-		list = ch.rankWrite[r]
-		relHit, relOther, relNext = ch.relHitW, ch.relOtherW, ch.relNextW
-		colRep, anyRep, anyCmdOf, repUntil = ch.colRepW, ch.anyRepW, ch.anyCmdW, ch.repUntilW
-	}
-	tm := &ch.cfg.Timing
-	rk := &ch.ranks[r]
-	colNoBus := rk.refUntil
-	if !sc.isWrite && rk.wtrUntil > colNoBus {
-		colNoBus = rk.wtrUntil
-	}
-	actBase := rk.refUntil
-	if rk.nextRankAct > actBase {
-		actBase = rk.nextRankAct
-	}
-	if oldest := rk.actWindow[rk.actIdx]; oldest != 0 && oldest-1+tm.TFAW > actBase {
-		actBase = oldest - 1 + tm.TFAW
-	}
-	// Walk the list in arrival order, rebuilding the cached releases, the
-	// class representatives (the first member found ready ignoring the bus
-	// — the bus gate is rank-uniform and applied at use time), and join, the
-	// earliest future cycle at which a not-yet-ready member could enter a
-	// ready set and displace a representative.
-	minCol, minPre, minAct := uint64(math.MaxUint64), uint64(math.MaxUint64), uint64(math.MaxUint64)
-	var cRep, aRep *Txn
-	aCmd := cmdNone
-	join := uint64(math.MaxUint64)
-	for _, t := range list {
-		bk := &rk.banks[t.Loc.Bank]
-		var rel uint64
-		c := cmdPre
 		switch {
-		case bk.open && bk.row == t.Loc.Row:
-			minCol = min(minCol, bk.nextCol)
-			rel = max(colNoBus, bk.nextCol)
-			if now >= rel {
-				if cRep == nil {
-					cRep = t
-				}
-			} else {
-				join = min(join, rel)
-				sc.u = min(sc.u, max(rel, colGate))
+		case now < rel:
+			u = min(u, rel)
+		case e.rank == lr:
+			if e.seq < sameSeq {
+				same, sameSeq = e, e.seq
 			}
-			continue
-		case bk.open:
-			minPre = min(minPre, bk.nextPre)
-			rel = max(rk.refUntil, bk.nextPre)
-		default:
-			minAct = min(minAct, bk.nextAct)
-			if rk.refPending {
-				// ACT is withheld entirely while a refresh is due
-				// (MaxUint64 release: the REF issue resets the scan memo,
-				// so nothing to fold into until; the refPending flip and
-				// the REF both invalidate the rep cache, so nothing to
-				// fold into join either).
-				continue
-			}
-			rel, c = max(actBase, bk.nextAct), cmdAct
-		}
-		if now >= rel {
-			if aRep == nil {
-				aRep, aCmd = t, c
-			}
-		} else {
-			join = min(join, rel)
-			sc.u = min(sc.u, rel)
+		case e.seq < colSeq:
+			col, colSeq = e, e.seq
 		}
 	}
-	hRel := uint64(math.MaxUint64)
-	if minCol != math.MaxUint64 {
-		hRel = colNoBus
-		if minCol > colNoBus {
-			hRel = minCol
+	for i := range others {
+		e := &others[i]
+		if now < e.rel {
+			u = min(u, e.rel)
+		} else if e.seq < otherSeq {
+			other, otherSeq = e, e.seq
 		}
 	}
-	other := uint64(math.MaxUint64)
-	if minPre != math.MaxUint64 {
-		other = rk.refUntil
-		if minPre > other {
-			other = minPre
-		}
+	*until = u
+	pick := cmp.Or(same, col, other)
+	if pick == nil {
+		return false
 	}
-	if minAct != math.MaxUint64 && !rk.refPending {
-		aRel := actBase
-		if minAct > aRel {
-			aRel = minAct
-		}
-		if aRel < other {
-			other = aRel
-		}
-	}
-	relHit[r] = hRel
-	relOther[r] = other
-	if hRel < other {
-		relNext[r] = hRel
-	} else {
-		relNext[r] = other
-	}
-	colRep[r], anyRep[r], anyCmdOf[r], repUntil[r] = cRep, aRep, aCmd, join
-	// Fold the rank representatives into the scan's global candidate slots.
-	// Per-bank gate-included readiness is (now >= colGate) && (now >= rel),
-	// so applying the rank-uniform bus gate to the rank winner here picks
-	// the same transaction the per-bank test would.
-	if cRep != nil {
-		if now >= colGate {
-			if isLast {
-				if sc.colLR == nil || cRep.seq < sc.colLR.seq {
-					sc.colLR = cRep
-				}
-			} else if sc.col == nil || cRep.seq < sc.col.seq {
-				sc.col = cRep
-			}
-		} else if colGate < sc.u {
-			sc.u = colGate
-		}
-	}
-	if aRep != nil {
-		if sc.any == nil || aRep.seq < sc.any.seq {
-			sc.any, sc.anyCmd = aRep, aCmd
-		}
-	}
+	ch.issue(pick.t, pick.c, now)
+	return true
 }
 
 // cmdReady returns the next command needed by t if it is issuable at now.
@@ -1068,23 +748,16 @@ func (ch *channel) busNeed(rnk int, isWrite bool) uint64 {
 	return need
 }
 
+// issue applies command c for t at now, then brings the FR-FCFS index up to
+// date: ACT and PRE re-head the bank in both directions (its transactions
+// change class), a column command makes the next row hit its direction's
+// head, and release times are recomputed for the bank and for the rank's
+// banks whose release a moved rank gate enters (an ACT: the closed banks,
+// through tRRD and tFAW; a write: the open banks, through tWTR).
 func (ch *channel) issue(t *Txn, c cmd, now uint64) {
-	// ACT and PRE restructure the rank's candidate classes (a bank flips
-	// between hit/miss and ACT service), so foldRank below lowers the cached
-	// class releases to the new candidates' bounds. A column command does
-	// not touch them: it only raises timers (nextCol, nextPre, wtrUntil, the
-	// bus) and removes a candidate, every one of which leaves the cached
-	// releases conservatively early — a stale entry can cause one spurious
-	// walk, which rebuilds it, but can never hide a matured candidate.
-	// Keeping the entries valid spares both directions' caches on the
-	// scheduler's most common command.
 	tm := &ch.cfg.Timing
 	rk := &ch.ranks[t.Loc.Rank]
 	bk := &rk.banks[t.Loc.Bank]
-	// Representatives have no safe stale direction, so any command on the
-	// rank drops them (a column issue removes the representative itself and
-	// raises wtrUntil for the other direction; ACT/PRE reshape the classes).
-	ch.invalReps(t.Loc.Rank)
 	switch c {
 	case cmdAct:
 		if ch.check != nil {
@@ -1102,14 +775,14 @@ func (ch *channel) issue(t *Txn, c cmd, now uint64) {
 		rk.actWindow[rk.actIdx] = now + 1
 		rk.actIdx = (rk.actIdx + 1) % len(rk.actWindow)
 		t.neededAct = true
-		// The ACT creates candidates in both directions: row hits in the
-		// freshly opened bank from nextCol = now+tRCD, and PREs for its
-		// other-row transactions from nextPre = now+tRAS. Fold those bank
-		// timers in as conservatively early class bounds instead of
-		// invalidating — removed or postponed candidates only leave the
-		// cache early (safe), so the rank is skipped until the new
-		// candidates can actually have matured.
-		ch.foldRank(t.Loc.Rank, now+tm.TRCD, now+tm.TRAS)
+		ch.reHead(rk, bk, mem.Read)
+		ch.reHead(rk, bk, mem.Write)
+		// tRRD and tFAW move the ACT release of the rank's closed banks.
+		for b := range rk.banks {
+			if o := &rk.banks[b]; !o.open {
+				ch.release(rk, o)
+			}
+		}
 		ch.Stats.Activates.Inc()
 	case cmdPre:
 		if ch.check != nil {
@@ -1119,10 +792,6 @@ func (ch *channel) issue(t *Txn, c cmd, now uint64) {
 			ch.tr.InstantArg2(ch.track, "PRE", "rank", int64(t.Loc.Rank), "bank", int64(t.Loc.Bank))
 		}
 		ch.precharge(rk, bk, now)
-		// The PRE turns the bank's transactions into ACT candidates from
-		// nextAct ≥ now+tRP; hit/PRE candidates it removes only leave the
-		// cached bounds conservatively early.
-		ch.foldRank(t.Loc.Rank, math.MaxUint64, now+tm.TRP)
 	case cmdRead, cmdWrite:
 		if ch.check != nil {
 			ch.check.OnColumn(now, t.Loc.Rank, t.Loc.Bank, t.Loc.Row, c == cmdWrite)
@@ -1163,130 +832,152 @@ func (ch *channel) issue(t *Txn, c cmd, now uint64) {
 			ch.Stats.RowMisses.Inc()
 		}
 		t.Done = burstStart + tm.TBurst
-		ch.removeFromQueue(t)
+		ch.remove(rk, bk, t)
+		if c == cmdWrite {
+			// tWTR moves the read-hit release of the rank's open banks.
+			for b := range rk.banks {
+				if o := &rk.banks[b]; o.open {
+					ch.release(rk, o)
+				}
+			}
+		} else {
+			ch.release(rk, bk)
+		}
 		ch.pending = append(ch.pending, t)
 	}
 }
 
-// foldRank lowers both directions' cached class releases for a rank to the
-// given conservatively early bounds (hit, other); MaxUint64 leaves a class
-// untouched. Folding a too-early bound costs at most a spurious walk that
-// rebuilds the exact entry; an invalid entry (zero) stays invalid.
-func (ch *channel) foldRank(r int, hit, other uint64) {
-	lo := hit
-	if other < lo {
-		lo = other
-	}
-	if hit < ch.relHitR[r] {
-		ch.relHitR[r] = hit
-	}
-	if hit < ch.relHitW[r] {
-		ch.relHitW[r] = hit
-	}
-	if other < ch.relOtherR[r] {
-		ch.relOtherR[r] = other
-	}
-	if other < ch.relOtherW[r] {
-		ch.relOtherW[r] = other
-	}
-	if lo < ch.relNextR[r] {
-		ch.relNextR[r] = lo
-	}
-	if lo < ch.relNextW[r] {
-		ch.relNextW[r] = lo
-	}
-}
-
-// invalRank drops both directions' cached release times for a rank: a zero
-// relOther always reads as matured, forcing the walk that rebuilds both
-// values. The representatives go with them.
-func (ch *channel) invalRank(r int) {
-	ch.relOtherR[r] = 0
-	ch.relOtherW[r] = 0
-	ch.relNextR[r] = 0
-	ch.relNextW[r] = 0
-	ch.invalReps(r)
-}
-
-// invalReps drops both directions' cached class representatives for a rank
-// (zero repUntil always reads as expired). Unlike the release times, a
-// stale representative could issue a timing-violating or departed command,
-// so every event that mutates rank-local scheduler state must call this.
-func (ch *channel) invalReps(r int) {
-	ch.repUntilR[r] = 0
-	ch.repUntilW[r] = 0
-}
-
+// precharge closes bk: its queued transactions all become ACT candidates.
 func (ch *channel) precharge(rk *rank, bk *bank, now uint64) {
 	bk.open = false
 	if na := now + ch.cfg.Timing.TRP; na > bk.nextAct {
 		bk.nextAct = na
 	}
+	ch.reHead(rk, bk, mem.Read)
+	ch.reHead(rk, bk, mem.Write)
 	ch.Stats.Precharges.Inc()
 }
 
-// push appends an arriving transaction to its rank's list for its
-// direction; removeFromQueue undoes it.
-func (ch *channel) push(t *Txn) {
-	r := t.Loc.Rank
-	if t.Op.Type == mem.Write {
-		ch.rankWrite[r] = append(ch.rankWrite[r], t)
-		ch.nWrite++
-		ch.rankBusyWrite |= 1 << uint(r)
-	} else {
-		ch.rankRead[r] = append(ch.rankRead[r], t)
-		ch.nRead++
-		ch.rankBusyRead |= 1 << uint(r)
+// relOf returns the release time of bk's heads of kind k, from its timers
+// and its rank's gates; the terms mirror cmdReady's. A read hit also waits
+// out tWTR; an ACT is withheld while the rank's refresh is pending.
+func (ch *channel) relOf(k int, rk *rank, bk *bank) uint64 {
+	switch {
+	case k == hitHeads+int(mem.Read):
+		return max(rk.refUntil, bk.nextCol, rk.wtrUntil)
+	case k == hitHeads+int(mem.Write):
+		return max(rk.refUntil, bk.nextCol)
+	case bk.open:
+		return max(rk.refUntil, bk.nextPre)
+	case rk.refPending:
+		return math.MaxUint64
+	}
+	rel := max(rk.refUntil, rk.nextRankAct, bk.nextAct)
+	if oldest := rk.actWindow[rk.actIdx]; oldest != 0 {
+		rel = max(rel, oldest-1+ch.cfg.Timing.TFAW)
+	}
+	return rel
+}
+
+// release recomputes the release times of bk's heads.
+func (ch *channel) release(rk *rank, bk *bank) {
+	for k, at := range bk.at {
+		if at != 0 {
+			ch.heads[k][at-1].rel = ch.relOf(k, rk, bk)
+		}
 	}
 }
 
-// removeFromQueue deletes an issued transaction from its rank's list,
-// keeping the list in arrival order.
-func (ch *channel) removeFromQueue(t *Txn) {
-	r := t.Loc.Rank
-	list, n, busy := &ch.rankRead[r], &ch.nRead, &ch.rankBusyRead
-	if t.Op.Type == mem.Write {
-		list, n, busy = &ch.rankWrite[r], &ch.nWrite, &ch.rankBusyWrite
+// rankRelease recomputes the release times of every bank in rk, after a REF
+// or a refresh-pending flip.
+func (ch *channel) rankRelease(rk *rank) {
+	for b := range rk.banks {
+		ch.release(rk, &rk.banks[b])
 	}
-	l := *list
-	for i, x := range l {
-		if x == t {
-			copy(l[i:], l[i+1:])
-			l[len(l)-1] = nil
-			*list = l[:len(l)-1]
+}
+
+// setHead makes t (nil for none) bk's head of kind k.
+func (ch *channel) setHead(k int, rk *rank, bk *bank, t *Txn) {
+	tab, at := ch.heads[k], bk.at[k]
+	var h head
+	if t != nil {
+		h = head{ch.relOf(k, rk, bk), t.seq, t, int32(t.Loc.Rank), cmdAct}
+		switch {
+		case k < otherHeads && t.Op.Type == mem.Write:
+			h.c = cmdWrite
+		case k < otherHeads:
+			h.c = cmdRead
+		case bk.open:
+			h.c = cmdPre
+		}
+	}
+	switch {
+	case t != nil && at != 0:
+		tab[at-1] = h
+	case t != nil:
+		ch.heads[k] = append(tab, h)
+		bk.at[k] = int32(len(ch.heads[k]))
+	case at != 0:
+		// Move the last entry into the freed slot.
+		last := tab[len(tab)-1]
+		tab[at-1] = last
+		ch.ranks[last.t.Loc.Rank].banks[last.t.Loc.Bank].at[k] = at
+		tab[len(tab)-1] = head{}
+		ch.heads[k] = tab[:len(tab)-1]
+		bk.at[k] = 0
+	}
+}
+
+// reHead recomputes both of bk's heads in direction d from its queue.
+func (ch *channel) reHead(rk *rank, bk *bank, d mem.AccessType) {
+	var hit, other *Txn
+	for _, t := range bk.q[d] {
+		if bk.open && t.Loc.Row == bk.row {
+			if hit == nil {
+				hit = t
+			}
+		} else if other == nil {
+			other = t
+		}
+		if other != nil && (hit != nil || !bk.open) {
 			break
 		}
 	}
-	*n--
-	if len(*list) == 0 {
-		*busy &^= 1 << uint(r)
+	ch.setHead(hitHeads+int(d), rk, bk, hit)
+	ch.setHead(otherHeads+int(d), rk, bk, other)
+}
+
+// push appends an arriving transaction to its bank's queue; remove undoes
+// it. The newcomer is the youngest member, so it heads its class only if
+// the class was empty.
+func (ch *channel) push(t *Txn) {
+	d := t.Op.Type
+	rk := &ch.ranks[t.Loc.Rank]
+	bk := &rk.banks[t.Loc.Bank]
+	bk.q[d] = append(bk.q[d], t)
+	ch.n[d]++
+	k := otherHeads + int(d)
+	if bk.open && t.Loc.Row == bk.row {
+		k = hitHeads + int(d)
+	}
+	if bk.at[k] == 0 {
+		ch.setHead(k, rk, bk, t)
 	}
 }
 
-// foldArrival folds an arriving transaction's class release into its
-// rank's cached releases instead of invalidating them: the arrival adds
-// exactly one candidate, and lowering the matching class bound to the bank
-// timer alone (a conservatively early stand-in for the full rank-level
-// gate) keeps the cache sound — at worst one spurious walk rebuilds the
-// exact entry.
-func (ch *channel) foldArrival(t *Txn) {
-	r := t.Loc.Rank
-	relHit, relOther, relNext := ch.relHitR, ch.relOtherR, ch.relNextR
-	if t.Op.Type == mem.Write {
-		relHit, relOther, relNext = ch.relHitW, ch.relOtherW, ch.relNextW
+// remove deletes an issued transaction from its bank's queue, keeping the
+// queue in arrival order, and re-heads the bank's row hits in its direction.
+func (ch *channel) remove(rk *rank, bk *bank, t *Txn) {
+	d := t.Op.Type
+	i := slices.Index(bk.q[d], t)
+	bk.q[d] = slices.Delete(bk.q[d], i, i+1)
+	ch.n[d]--
+	var hit *Txn
+	for _, x := range bk.q[d] {
+		if x.Loc.Row == bk.row {
+			hit = x
+			break
+		}
 	}
-	bk := &ch.ranks[r].banks[t.Loc.Bank]
-	var fold uint64
-	switch {
-	case bk.open && t.Loc.Row == bk.row:
-		fold = bk.nextCol
-		relHit[r] = min(relHit[r], fold)
-	case bk.open:
-		fold = bk.nextPre
-		relOther[r] = min(relOther[r], fold)
-	default:
-		fold = bk.nextAct
-		relOther[r] = min(relOther[r], fold)
-	}
-	relNext[r] = min(relNext[r], fold)
+	ch.setHead(hitHeads+int(d), rk, bk, hit)
 }

@@ -14,14 +14,14 @@ import (
 // Memory only the per-transaction readiness test (cmdReady), the command
 // effects (issue, issueRefresh) and the queue insert that issue's removal
 // undoes (push), so the production scheduler's memos — nextTry, refNext,
-// the per-rank lists, counts and busy bitmaps, the release and
-// representative caches, and the last-rank-first scan with its deferral —
-// are all checked against the plain definition.
+// the queue counts, the per-bank queues, the head tables with their class
+// heads, and the heads' release times with the rank gates folded in — are
+// all checked against the plain definition.
 type refMemory struct {
 	m *Memory // channel state; its own Tick is never called
-	// rq/wq are each channel's queues in arrival order. issue's removal
-	// keeps the channel's own per-rank lists in step (push fills them), but
-	// the reference never reads them.
+	// rq/wq are each channel's queues in arrival order. push and issue keep
+	// the channel's own per-bank queues and head tables in step, but the
+	// reference never reads them.
 	rq, wq [][]*Txn
 }
 
@@ -302,6 +302,12 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		ReadQ: 16, WriteQ: 16, HighWM: 12, LowWM: 4,
 	}
 	table3 := DefaultConfig(2)
+	// More than 16 ranks and 64 banks per channel, with a bank count that is
+	// not a multiple of 64, at the Table III queue sizes.
+	wide := Config{
+		Geom:  addrmap.Geometry{Channels: 1, RanksPerChan: 20, BanksPerRank: 4, RowsPerBank: 32, ColumnsPerRow: 16},
+		ReadQ: 48, WriteQ: 48, HighWM: 40, LowWM: 20,
+	}
 	type source struct {
 		name    string
 		cfg     Config
@@ -319,6 +325,8 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		sources = append(sources, source{"blocks-" + name, table3,
 			func(rng *rand.Rand) []arrival { return blockTraffic(rng, p, n) }})
 	}
+	sources = append(sources, source{"random-20x4", wide,
+		func(rng *rand.Rand) []arrival { return randomTraffic(rng, wide.Geom, n) }})
 	for _, tm := range []struct {
 		name   string
 		timing Timing

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -212,13 +213,22 @@ func ParseFlag(s string) (Config, error) {
 			}
 			return v, nil
 		}
+		// count parses a value stored in an int field, rejecting one that
+		// would wrap negative.
+		count := func() (int, error) {
+			v, err := num()
+			if err == nil && v > math.MaxInt {
+				err = fmt.Errorf("fault: %s: %d is above %d", key, v, math.MaxInt)
+			}
+			return int(v), err
+		}
 		switch key {
 		case "n":
-			v, err := num()
+			v, err := count()
 			if err != nil {
 				return Config{}, err
 			}
-			c.N = int(v)
+			c.N = v
 		case "kind":
 			c.Kind = val
 		case "target":
@@ -258,11 +268,11 @@ func ParseFlag(s string) (Config, error) {
 			}
 			c.ScrubInterval = v
 		case "qmax":
-			v, err := num()
+			v, err := count()
 			if err != nil {
 				return Config{}, err
 			}
-			c.ScrubQueueMax = int(v)
+			c.ScrubQueueMax = v
 		default:
 			return Config{}, fmt.Errorf("fault: unknown key %q", key)
 		}

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -31,6 +32,45 @@ func TestParseFlag(t *testing.T) {
 	if c, err := ParseFlag(""); err != nil || c.Enabled() {
 		t.Errorf("empty flag: cfg=%+v err=%v", c, err)
 	}
+	// Values that fit a uint64 but not an int must not wrap negative: N=-1
+	// would silently disable the campaign, ScrubQueueMax=-1 defer every
+	// scrub read.
+	for _, flag := range []string{
+		"n=18446744073709551615",
+		"n=9223372036854775808",
+		"n=8,qmax=18446744073709551615",
+		"n=8,qmax=9223372036854775808",
+	} {
+		if c, err := ParseFlag(flag); err == nil {
+			t.Errorf("%s: accepted as %+v", flag, c)
+		}
+	}
+	if c, err := ParseFlag("n=9223372036854775807,qmax=9223372036854775807"); err != nil ||
+		c.N != math.MaxInt || c.ScrubQueueMax != math.MaxInt {
+		t.Errorf("MaxInt values: cfg=%+v err=%v", c, err)
+	}
+}
+
+// FuzzParseFlag checks that every input either errors or yields a Config
+// that passes Validate with N and ScrubQueueMax non-negative.
+func FuzzParseFlag(f *testing.F) {
+	f.Add("n=64,kind=chip2,seed=7,interval=5000,span=1024,scrub=100,qmax=4,target=hot,start=2000")
+	f.Add("n=8,scrub=off")
+	f.Add("n=18446744073709551615")
+	f.Add("n=4,qmax=9223372036854775808")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseFlag(s)
+		if err != nil {
+			return
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("ParseFlag(%q) = %+v, which fails Validate: %v", s, c, err)
+		}
+		if c.N < 0 || c.ScrubQueueMax < 0 {
+			t.Fatalf("ParseFlag(%q) = %+v: negative N or ScrubQueueMax", s, c)
+		}
+	})
 }
 
 func TestNormalizedFoldsDefaults(t *testing.T) {

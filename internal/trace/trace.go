@@ -98,17 +98,19 @@ type Reader struct {
 func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 
 // Next implements Source. After exhaustion or error, ok stays false; a
-// non-EOF error is available via Err.
+// non-EOF error is available via Err. A stream must end on a record
+// boundary, and a record's type must be a valid access type and its pad
+// bytes zero (as Writer writes them); anything else is a decoding error,
+// so a truncated or corrupt file cannot pass for a shorter valid one.
 func (r *Reader) Next() (Record, bool) {
 	if r.err != nil {
 		return Record{}, false
 	}
 	if _, err := io.ReadFull(r.r, r.buf[:]); err != nil {
-		if err != io.EOF && err != io.ErrUnexpectedEOF {
-			r.err = err
-		} else {
-			r.err = io.EOF
+		if err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("trace: truncated record: %w", err)
 		}
+		r.err = err
 		return Record{}, false
 	}
 	rec := Record{
@@ -118,6 +120,10 @@ func (r *Reader) Next() (Record, bool) {
 	}
 	if rec.Type != mem.Read && rec.Type != mem.Write {
 		r.err = fmt.Errorf("trace: corrupt record type %d", r.buf[4])
+		return Record{}, false
+	}
+	if r.buf[5]|r.buf[6]|r.buf[7] != 0 {
+		r.err = fmt.Errorf("trace: corrupt record: nonzero pad bytes % x", r.buf[5:8])
 		return Record{}, false
 	}
 	return rec, true

@@ -64,18 +64,80 @@ func TestReaderDetectsCorruptType(t *testing.T) {
 	}
 }
 
+// TestReaderTruncated checks that a partial trailing record is an error:
+// a truncated file must not read as a shorter valid trace.
 func TestReaderTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.Write(Record{Type: mem.Read, VAddr: 1})
+	w.Write(Record{Type: mem.Write, VAddr: 2})
 	w.Flush()
-	r := NewReader(bytes.NewReader(buf.Bytes()[:10]))
+	r := NewReader(bytes.NewReader(buf.Bytes()[:recordSize+10]))
+	if got, ok := r.Next(); !ok || got.VAddr != 1 {
+		t.Fatalf("first record = %+v, %v; want VAddr 1", got, ok)
+	}
 	if _, ok := r.Next(); ok {
 		t.Fatal("truncated record should not decode")
 	}
-	if r.Err() != nil {
-		t.Fatalf("truncation treated as EOF, got %v", r.Err())
+	if r.Err() == nil {
+		t.Fatal("truncated record read as a clean end of trace")
 	}
+}
+
+func TestReaderDetectsNonzeroPad(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Write(Record{Type: mem.Write, VAddr: 64})
+	w.Flush()
+	data := buf.Bytes()
+	data[6] = 1
+	r := NewReader(bytes.NewReader(data))
+	if _, ok := r.Next(); ok {
+		t.Fatal("record with a nonzero pad byte should not decode")
+	}
+	if r.Err() == nil {
+		t.Fatal("nonzero pad byte should surface an error")
+	}
+}
+
+// FuzzReader checks that every input either sets Err or decodes to records
+// that Writer re-encodes to exactly the input bytes.
+func FuzzReader(f *testing.F) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Write(Record{Gap: 3, Type: mem.Read, VAddr: 0x1000})
+	w.Write(Record{Gap: 1 << 20, Type: mem.Write, VAddr: 1 << 47})
+	w.Flush()
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:recordSize+5])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewReader(bytes.NewReader(data))
+		var recs []Record
+		for {
+			rec, ok := r.Next()
+			if !ok {
+				break
+			}
+			recs = append(recs, rec)
+		}
+		if r.Err() != nil {
+			return
+		}
+		var out bytes.Buffer
+		w := NewWriter(&out)
+		for _, rec := range recs {
+			if err := w.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("decoded %d records without error, but they re-encode to %x, not the input %x", len(recs), out.Bytes(), data)
+		}
+	})
 }
 
 func TestSliceSource(t *testing.T) {
