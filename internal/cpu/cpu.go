@@ -9,6 +9,7 @@ package cpu
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/stats"
@@ -46,7 +47,8 @@ type Core struct {
 	// Outstanding reads, in issue order, in a value ring at
 	// [fHead, fHead+fLen) mod len(flights). Reads issue with monotonically
 	// increasing instruction indices, so the oldest incomplete entry bounds
-	// retirement; completed entries are marked and popped lazily. The ring
+	// retirement; completed entries are marked, and OnComplete pops them
+	// once they reach the head, so the head is always incomplete. The ring
 	// is bounded by the ROB window (an unretired read keeps every younger
 	// op inside the window), so OnComplete's linear scan is O(ROBSize) worst
 	// case and O(outstanding) typical — and allocation-free, unlike the
@@ -60,8 +62,8 @@ type Core struct {
 	opsTarget uint64
 	exhausted bool // trace source ran dry before the target
 	// blocked marks a core provably unable to issue or retire until one of
-	// its outstanding reads completes; Cycle takes a constant-time stall
-	// path while it is set. OnComplete clears it.
+	// its outstanding reads completes; Cycle and Advance take a
+	// constant-time stall path while it is set. OnComplete clears it.
 	blocked bool
 	lastIdx uint64 // instruction index just past the last issued op
 
@@ -104,17 +106,6 @@ func (c *Core) FinishCycle() uint64 { return c.finishCycle }
 // Retired returns instructions retired so far.
 func (c *Core) Retired() uint64 { return c.retired }
 
-// Blocked reports whether the core is provably unable to make progress
-// until a completion arrives: the head of the ROB is an outstanding read
-// and the issue side cannot move either. While it holds, Cycle would only
-// charge a stall cycle; callers that know no completion can arrive (the
-// simulation loop between token deliveries) may use StallTick instead.
-func (c *Core) Blocked() bool { return c.blocked }
-
-// StallTick charges one stall cycle without the full Cycle bookkeeping.
-// Valid only while Blocked() holds; equivalent to calling Cycle then.
-func (c *Core) StallTick() { c.StallCycles.Inc() }
-
 // OpsIssued returns memory operations issued so far.
 func (c *Core) OpsIssued() uint64 { return c.opsIssued }
 
@@ -127,8 +118,12 @@ func (c *Core) OnComplete(token uint64) {
 		if !f.done && f.token == token {
 			f.done = true
 			c.nFlights--
-			return
+			break
 		}
+	}
+	for c.fLen > 0 && c.flights[c.fHead].done {
+		c.fHead = (c.fHead + 1) & mask
+		c.fLen--
 	}
 }
 
@@ -151,28 +146,53 @@ func (c *Core) pushFlight(f flight) {
 	c.fLen++
 }
 
-// oldestIncomplete returns the instruction index of the oldest outstanding
-// read, popping completed heads.
-func (c *Core) oldestIncomplete() (uint64, bool) {
-	mask := len(c.flights) - 1
-	for c.fLen > 0 && c.flights[c.fHead].done {
-		c.fHead = (c.fHead + 1) & mask
-		c.fLen--
+// retireBound returns the instruction index retirement cannot pass: the
+// oldest outstanding read or the unissued pending op, whichever comes
+// first (MaxUint64 when there is neither).
+func (c *Core) retireBound() uint64 {
+	bound := uint64(math.MaxUint64)
+	if c.fLen > 0 {
+		bound = c.flights[c.fHead].idx
 	}
-	if c.fLen == 0 {
-		return 0, false
+	if c.havePend && c.pendingIdx < bound {
+		bound = c.pendingIdx
 	}
-	return c.flights[c.fHead].idx, true
+	return bound
 }
 
-// AddIdleCycles charges n stalled CPU cycles arithmetically, exactly as n
-// calls to Cycle would when the core is frozen (cannot issue or retire).
-// The simulator uses it during idle fast-forward; calling it on a done core
-// is a no-op, matching Cycle's early return.
-func (c *Core) AddIdleCycles(n uint64) {
-	if !c.done {
-		c.StallCycles.Add(n)
+// retiredAfter returns the retired count after n cycles that each retire
+// up to Width instructions but never past bound. The product n*Width is
+// taken in 128 bits, so it cannot overflow for any Width.
+func (c *Core) retiredAfter(n, bound uint64) uint64 {
+	hi, lo := bits.Mul64(n, uint64(c.cfg.Width))
+	if hi == 0 && lo < bound-c.retired {
+		return c.retired + lo
 	}
+	return bound
+}
+
+// retiringCycles returns how many cycles retire instructions before
+// retirement reaches bound: ceil((bound-retired)/Width).
+func (c *Core) retiringCycles(bound uint64) uint64 {
+	d := bound - c.retired
+	if d == 0 {
+		return 0
+	}
+	return (d-1)/uint64(c.cfg.Width) + 1
+}
+
+// frozen reports whether a core that cannot retire cannot issue either
+// until one of its outstanding reads completes: its trace is exhausted, or
+// its next op sits outside the ROB window, whose lower edge only advances
+// when retirement does.
+func (c *Core) frozen() bool {
+	return c.nFlights > 0 &&
+		((c.exhausted && !c.havePend) || (c.havePend && c.pendingIdx >= c.retired+uint64(c.cfg.ROBSize)))
+}
+
+// finished reports whether the core has nothing left to issue or wait for.
+func (c *Core) finished() bool {
+	return c.nFlights == 0 && (c.opsIssued >= c.opsTarget || (c.exhausted && !c.havePend))
 }
 
 // loadPending pulls the next memory op from the trace, assigning its
@@ -201,8 +221,8 @@ func (c *Core) issueBase() uint64 { return c.lastIdx }
 // active reports whether any architectural state changed (an op issued or
 // pulled from the trace, instructions retired, or the core finished); a
 // cycle with active=false would repeat identically every cycle until a read
-// completion arrives, except for the stall counter — which AddIdleCycles
-// advances arithmetically during fast-forward.
+// completion arrives, except for the stall counter — which Advance charges
+// arithmetically during fast-forward.
 func (c *Core) Cycle(now uint64, issue IssueFunc) (active bool, err error) {
 	if c.done {
 		return false, nil
@@ -248,25 +268,13 @@ func (c *Core) Cycle(now uint64, issue IssueFunc) (active bool, err error) {
 
 	// Retire: up to Width instructions, not past the oldest incomplete
 	// read and not past an unissued (stalled) memory op.
-	limit := c.retired + uint64(c.cfg.Width)
-	bound := uint64(math.MaxUint64)
-	if idx, ok := c.oldestIncomplete(); ok {
-		bound = idx
-	}
-	if c.havePend && c.pendingIdx < bound {
-		bound = c.pendingIdx
-	}
-	if limit > bound {
-		limit = bound
-	}
+	limit := min(c.retired+uint64(c.cfg.Width), c.retireBound())
 	if limit == c.retired {
 		c.StallCycles.Inc()
-		// If the issue side cannot move either — the trace is exhausted, or
-		// the next op sits outside the ROB window, whose lower edge only
-		// advances when retirement does — the core's entire state is frozen
-		// until an outstanding read completes. OnComplete clears the flag.
-		if !active && c.nFlights > 0 &&
-			((c.exhausted && !c.havePend) || (c.havePend && c.pendingIdx >= c.retired+uint64(c.cfg.ROBSize))) {
+		// If the issue side cannot move either, the core's entire state is
+		// frozen until an outstanding read completes. OnComplete clears the
+		// flag.
+		if !active && c.frozen() {
 			c.blocked = true
 		}
 	} else {
@@ -274,12 +282,67 @@ func (c *Core) Cycle(now uint64, issue IssueFunc) (active bool, err error) {
 	}
 	c.retired = limit
 
-	if c.nFlights == 0 {
-		if c.opsIssued >= c.opsTarget || (c.exhausted && !c.havePend) {
-			c.done = true
-			c.finishCycle = now
-			active = true
-		}
+	if c.finished() {
+		c.done = true
+		c.finishCycle = now
+		active = true
 	}
 	return active, nil
+}
+
+// Quiet reports whether k calls to Cycle, with no read completing, would
+// never call their issue function: the core is done or blocked, has no
+// pending op and cannot load one, or keeps its pending op outside the ROB
+// window through the k-th cycle although retirement moves the window up.
+// Quiet changes no state.
+func (c *Core) Quiet(k uint64) bool {
+	if c.done || c.blocked || k == 0 {
+		return true
+	}
+	if !c.havePend {
+		return c.opsIssued >= c.opsTarget || c.exhausted
+	}
+	// The k-th cycle checks the window after k-1 cycles of retirement.
+	return c.pendingIdx >= c.retiredAfter(k-1, c.retireBound())+uint64(c.cfg.ROBSize)
+}
+
+// Advance is exactly k calls to Cycle, at cycles now to now+k-1, in which
+// no read completes and no operation is accepted: the caller delivers no
+// completion and refuses every issue, or knows that Quiet(k) holds. Only
+// the first cycle can pull the next op from the trace or finish the core;
+// from then on the retirement bound is fixed, so the cycles reduce to
+// arithmetic. active is the OR of the k cycles' results.
+func (c *Core) Advance(now, k uint64) (active bool) {
+	if c.done || k == 0 {
+		return false
+	}
+	if c.blocked {
+		c.StallCycles.Add(k)
+		return false
+	}
+	hadPend, wasExhausted := c.havePend, c.exhausted
+	c.loadPending()
+	loaded := c.havePend != hadPend || c.exhausted != wasExhausted
+	if c.finished() {
+		// Cycle retires once more and finishes in the first cycle.
+		c.done = true
+		c.finishCycle = now
+		k = 1
+	}
+	bound := c.retireBound()
+	retired := c.retiredAfter(k, bound)
+	// Every cycle retires until retirement reaches the bound; the rest
+	// stall.
+	n := k
+	if retired == bound {
+		n = c.retiringCycles(bound)
+	}
+	c.retired = retired
+	c.StallCycles.Add(k - n)
+	// The first stall cycle, cycle n, blocks a frozen core, unless it is
+	// the first cycle and the load made it active; then the second does.
+	if n < k && (n > 0 || !loaded || k > 1) && c.frozen() {
+		c.blocked = true
+	}
+	return c.done || loaded || n > 0
 }

@@ -6,8 +6,8 @@ import (
 	"repro/internal/workload"
 )
 
-// benchmark end-to-end simulator throughput (simulated memory ops per
-// wall-clock second) for a representative scheme/workload pair.
+// benchScheme measures whole-loop simulator throughput for one scheme and
+// benchmark on the Fig 8 machine (4 cores, 1 channel).
 func benchScheme(b *testing.B, scheme, bench string) {
 	spec, err := workload.ByName(bench)
 	if err != nil {
@@ -30,3 +30,8 @@ func benchScheme(b *testing.B, scheme, bench string) {
 func BenchmarkSimNonSecure(b *testing.B) { benchScheme(b, "nonsecure", "pr") }
 func BenchmarkSimSynergy(b *testing.B)   { benchScheme(b, "synergy", "pr") }
 func BenchmarkSimITESP(b *testing.B)     { benchScheme(b, "itesp", "pr") }
+
+// BenchmarkSimITESPLight runs a compute-bound benchmark (namd, MPKI 1.2),
+// where cores retire between sparse misses and the CPU burst, not DRAM,
+// dominates the loop.
+func BenchmarkSimITESPLight(b *testing.B) { benchScheme(b, "itesp", "namd") }

@@ -337,7 +337,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	timing := dram.DDR3_1600()
-	cpuPerDRAM := dram.CPUCyclesPerDRAMCycle
+	cpuPerDRAM := uint64(dram.CPUCyclesPerDRAMCycle)
 	if cfg.DDR4 {
 		timing = dram.DDR4_2400()
 		cpuPerDRAM = 3
@@ -439,8 +439,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	var sinceCancelCheck uint64
 
-	var wd drainWatchdog
+	wd := drainWatchdog{pending: engine.Pending}
 	var tokenBuf []uint64
+	var stepping []*cpu.Core
 	for {
 		if cancelable {
 			if sinceCancelCheck++; sinceCancelCheck >= cancelStride {
@@ -472,35 +473,32 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			cores[core.TokenCore(tok)].OnComplete(tok)
 			progressed = true
 		}
+		// The CPU burst. No read completes within it (completions are
+		// delivered only before it) and backpressure cannot clear within it
+		// (the spill drains only in Engine.Tick), so a core the engine
+		// refuses, or a quiet one that presents no op, runs the burst in
+		// closed form, apart from the others: a refused Access has no side
+		// effects and each core owns its trace source. The remaining cores
+		// step cycle by cycle in core order, and cpuCycle, the tracer's
+		// clock, rises once per cycle.
 		coresActive := false
-		// A core blocked on memory cannot unblock within the burst
-		// (completions are delivered only before it, and only OnComplete
-		// clears the flag), so when every core is blocked the whole burst
-		// reduces to charging cpuPerDRAM stall cycles per core — the
-		// arithmetic identity of running the loop below.
-		allBlocked := true
+		refused := engine.Backpressured()
+		stepping = stepping[:0]
 		for _, c := range cores {
-			if !c.Blocked() {
-				allBlocked = false
-				break
+			if !refused && !c.Quiet(cpuPerDRAM) {
+				stepping = append(stepping, c)
+				continue
 			}
+			before := c.Retired()
+			coresActive = c.Advance(cpuCycle+1, cpuPerDRAM) || coresActive
+			progressed = progressed || c.Retired() != before
 		}
-		if allBlocked {
-			cpuCycle += uint64(cpuPerDRAM)
-			for _, c := range cores {
-				c.AddIdleCycles(uint64(cpuPerDRAM))
-			}
+		if len(stepping) == 0 {
+			cpuCycle += cpuPerDRAM
 		}
-		for i := 0; !allBlocked && i < cpuPerDRAM; i++ {
+		for i := uint64(0); len(stepping) > 0 && i < cpuPerDRAM; i++ {
 			cpuCycle++
-			for _, c := range cores {
-				// Blocked cores inside a mixed burst still charge their
-				// stalls cycle by cycle (another core's issue cannot unblock
-				// them, but the loop order is part of the pinned behavior).
-				if c.Blocked() {
-					c.StallTick()
-					continue
-				}
+			for _, c := range stepping {
 				before := c.Retired()
 				active, err := c.Cycle(cpuCycle, issue)
 				if err != nil {
@@ -521,7 +519,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				return obs.ProgressStat{CPUCycles: cpuCycle, OpsDone: opsDone(), OpsTarget: opsTarget}
 			})
 		}
-		if err := wd.observe(progressed, 1, allDone, cpuCycle, engine.Pending()); err != nil {
+		if err := wd.observe(progressed, 1, allDone, cpuCycle); err != nil {
 			return nil, err
 		}
 
@@ -530,7 +528,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		// repeats it exactly — except for stall/bus-busy counters and epoch
 		// boundaries, which advance arithmetically — until the next DRAM
 		// event. Skip to it in bulk (chunked at epoch boundaries so Series
-		// samples fire at identical cpuCycle values).
+		// samples fire at identical cpuCycle values). Every core was
+		// advanced or stepped without activity, so it can neither load nor
+		// retire, and is refused or quiet: Advance only charges its stalls.
 		if cfg.DisableIdleSkip || engActive || coresActive || len(tokens) > 0 {
 			continue
 		}
@@ -548,23 +548,23 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			if series != nil {
 				need := uint64(1)
 				if nextEpoch > cpuCycle {
-					need = (nextEpoch - cpuCycle + uint64(cpuPerDRAM) - 1) / uint64(cpuPerDRAM)
+					need = (nextEpoch - cpuCycle + cpuPerDRAM - 1) / cpuPerDRAM
 				}
 				if need < chunk {
 					chunk = need
 				}
 			}
 			dmem.SkipTo(dmem.Now() + chunk)
-			cc := chunk * uint64(cpuPerDRAM)
-			cpuCycle += cc
+			cc := chunk * cpuPerDRAM
 			for _, c := range cores {
-				c.AddIdleCycles(cc)
+				c.Advance(cpuCycle+1, cc)
 			}
+			cpuCycle += cc
 			if series != nil && cpuCycle >= nextEpoch {
 				series.Sample(cpuCycle)
 				nextEpoch += series.Interval()
 			}
-			if err := wd.observe(false, chunk, allDone, cpuCycle, engine.Pending()); err != nil {
+			if err := wd.observe(false, chunk, allDone, cpuCycle); err != nil {
 				return nil, err
 			}
 			skip -= chunk

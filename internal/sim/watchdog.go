@@ -41,12 +41,15 @@ var (
 // straight-line run would.
 type drainWatchdog struct {
 	idle uint64
+	// pending counts the in-flight work that a trip's error message
+	// reports; it is called only when the watchdog trips.
+	pending func() int
 }
 
 // observe records that `cycles` simulated DRAM cycles elapsed with
 // (progressed=true) or without (progressed=false) forward progress, and
 // returns a typed error when the no-progress budget is exhausted.
-func (w *drainWatchdog) observe(progressed bool, cycles uint64, allDone bool, cpuCycle uint64, pending int) error {
+func (w *drainWatchdog) observe(progressed bool, cycles uint64, allDone bool, cpuCycle uint64) error {
 	if progressed {
 		w.idle = 0
 		return nil
@@ -55,12 +58,12 @@ func (w *drainWatchdog) observe(progressed bool, cycles uint64, allDone bool, cp
 	if allDone {
 		// Draining residual writes; refresh-bound, give it time.
 		if w.idle > drainLimit {
-			return fmt.Errorf("%w after %d idle cycles at cycle %d (pending=%d)", ErrDrainStall, w.idle, cpuCycle, pending)
+			return fmt.Errorf("%w after %d idle cycles at cycle %d (pending=%d)", ErrDrainStall, w.idle, cpuCycle, w.pending())
 		}
 		return nil
 	}
 	if w.idle > deadlockLimit {
-		return fmt.Errorf("%w at cycle %d (pending=%d)", ErrDeadlock, cpuCycle, pending)
+		return fmt.Errorf("%w at cycle %d (pending=%d)", ErrDeadlock, cpuCycle, w.pending())
 	}
 	return nil
 }

@@ -7,7 +7,9 @@
 #
 # The DRAM scheduler's differential fuzz target then runs for 30 s: it
 # checks the memoized FR-FCFS scheduler against the memo-free reference in
-# internal/dram/reference_test.go on fuzzed traffic.
+# internal/dram/reference_test.go on fuzzed traffic. The core's fuzz target
+# then runs for 15 s: it checks the closed-form Advance and Quiet against
+# Cycle, step by step, in internal/cpu/advance_test.go.
 #
 # The farm's long-poll tests (sweep-status and lease long-polls, RunSweep,
 # Shutdown unparking) then run ten more times under -race: they park and
@@ -26,5 +28,6 @@ go build ./...
 go test -race ./internal/stats/... ./internal/obs/... ./internal/runner/... ./internal/farm/...
 go test ./...
 go test -run '^$' -fuzz '^FuzzSchedulerMatchesReference$' -fuzztime 30s ./internal/dram/
+go test -run '^$' -fuzz '^FuzzAdvanceMatchesCycle$' -fuzztime 15s ./internal/cpu/
 go test -race -count=10 -run 'TestSweepLongPoll|TestRunSweep|TestChaosShutdownDrainsParked|TestFarmLongPollWake' ./internal/farm/
 go test -count=3 -run 'TestChaos' ./internal/runner/... ./internal/farm/... || echo "chaos suite: FAILED (non-gating)" >&2
