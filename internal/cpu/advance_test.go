@@ -66,8 +66,8 @@ func stateOf(c *Core) coreState {
 
 // twinCores runs two cores built on the same records through the same
 // phases. ref only ever calls Cycle; adv takes each burst in which nothing
-// can complete or be accepted through one Advance call. After every phase
-// the two must be in the same state.
+// can complete or be accepted through one Advance call, or two when the
+// burst is split. After every phase the two must be in the same state.
 type twinCores struct {
 	t           testing.TB
 	ref, adv    *Core
@@ -144,41 +144,41 @@ func accepting(budget int, tok *uint64, got *[]uint64) IssueFunc {
 
 func refusing(int, trace.Record) (uint64, bool, error) { return 0, false, nil }
 
-// mustNotIssue is the issue function for cycles that Quiet promised would
-// present no op.
-func (h *twinCores) mustNotIssue(k uint64) IssueFunc {
+// mustNotIssue is the issue function for cycles that QuietFor promised
+// would present no op.
+func (h *twinCores) mustNotIssue(q uint64) IssueFunc {
 	return func(int, trace.Record) (uint64, bool, error) {
-		h.t.Fatalf("cycle %d: Quiet(%d) held, yet Cycle presented an op", h.now, k)
+		h.t.Fatalf("cycle %d: QuietFor() = %d, yet Cycle presented an op", h.now, q)
 		return 0, false, nil
 	}
 }
 
-// quiet asks both twins Quiet(k), checks that they agree and that asking
-// changed nothing.
-func (h *twinCores) quiet(k uint64) bool {
+// horizons asks both twins QuietFor, Settled and RetiringFor, checks that
+// they agree and that asking changed nothing.
+func (h *twinCores) horizons() (quiet uint64, settled bool, retiring uint64) {
 	h.t.Helper()
 	before := stateOf(h.adv)
-	q := h.adv.Quiet(k)
+	quiet, settled, retiring = h.adv.QuietFor(), h.adv.Settled(), h.adv.RetiringFor()
 	if !reflect.DeepEqual(before, stateOf(h.adv)) {
-		h.t.Fatalf("cycle %d: Quiet(%d) changed the core's state", h.now, k)
+		h.t.Fatalf("cycle %d: a horizon query changed the core's state", h.now)
 	}
-	if h.ref.Quiet(k) != q {
-		h.t.Fatalf("cycle %d: twins disagree on Quiet(%d)", h.now, k)
+	if h.ref.QuietFor() != quiet || h.ref.Settled() != settled || h.ref.RetiringFor() != retiring {
+		h.t.Fatalf("cycle %d: twins disagree on their horizons", h.now)
 	}
-	return q
+	return quiet, settled, retiring
 }
 
 // acceptingCycles steps both twins m cycles; each cycle accepts up to a
 // chosen number of ops.
 func (h *twinCores) acceptingCycles(s *choices, m uint64) {
-	quiet := h.quiet(m)
+	q, _, _ := h.horizons()
 	for i := uint64(0); i < m; i++ {
 		budget := int(s.byte() % 10)
 		var refGot, advGot []uint64
 		refIssue := accepting(budget, &h.refTok, &refGot)
 		advIssue := accepting(budget, &h.advTok, &advGot)
-		if quiet {
-			refIssue, advIssue = h.mustNotIssue(m), h.mustNotIssue(m)
+		if i < q {
+			refIssue, advIssue = h.mustNotIssue(q), h.mustNotIssue(q)
 		}
 		ra, err := h.ref.Cycle(h.now, refIssue)
 		if err != nil {
@@ -213,48 +213,81 @@ func (h *twinCores) complete(s *choices) {
 }
 
 // burst runs k cycles in which nothing completes and nothing is accepted:
-// k Cycle calls on ref, one Advance on adv. When Quiet(k) holds, ref's issue
-// function fails the test if called.
-func (h *twinCores) burst(k uint64) {
+// k Cycle calls on ref; on adv one Advance, or, when split is in (0, k),
+// Advance(split) then Advance(k-split). It checks the horizons the twins
+// reported before the burst against ref's cycles: QuietFor is the number
+// of cycles before the first that presents an op (a core that could still
+// load an op may present none, yet QuietFor is 0), Settled says that the
+// first cycle neither loads an op nor finishes the core, and a Settled
+// core's cycles retire in a prefix RetiringFor cycles long.
+func (h *twinCores) burst(k, split uint64) {
 	h.t.Helper()
+	quiet, settled, retiring := h.horizons()
+	before := stateOf(h.ref)
 	issue := IssueFunc(refusing)
-	if h.quiet(k) {
-		issue = h.mustNotIssue(k)
+	if quiet >= k {
+		issue = h.mustNotIssue(quiet)
 	}
-	refActive, refProgressed := h.stepRef(k, issue)
+	presented, lastRetire := h.stepRef(k, issue)
 
-	before := h.adv.Retired()
-	advActive := h.adv.Advance(h.now, k)
-	advProgressed := h.adv.Retired() != before
-	if refActive != advActive || refProgressed != advProgressed {
-		h.t.Fatalf("cycle %d, burst of %d: Cycle active=%v progressed=%v, Advance active=%v progressed=%v",
-			h.now, k, refActive, refProgressed, advActive, advProgressed)
+	switch {
+	case presented != 0 && quiet != presented-1 && (before.HavePend || quiet != 0):
+		h.t.Fatalf("cycle %d: QuietFor() = %d, but cycle %d of the burst presented an op", h.now, quiet, presented)
+	case presented == 0 && quiet < k && before.HavePend:
+		h.t.Fatalf("cycle %d: QuietFor() = %d, but no cycle of a %d-cycle burst presented an op", h.now, quiet, k)
+	}
+	after := stateOf(h.ref)
+	moved := after.HavePend != before.HavePend || after.Exhausted != before.Exhausted || after.Done != before.Done
+	if settled == moved {
+		h.t.Fatalf("cycle %d: Settled() = %v, but the burst's first cycle loaded or finished = %v", h.now, settled, moved)
+	}
+	if settled && lastRetire != min(retiring, k) {
+		h.t.Fatalf("cycle %d: RetiringFor() = %d, but the last of %d cycles to retire was cycle %d", h.now, retiring, k, lastRetire)
+	}
+
+	if split > 0 && split < k {
+		h.adv.Advance(h.now, split)
+		h.adv.Advance(h.now+split, k-split)
+	} else {
+		h.adv.Advance(h.now, k)
 	}
 	h.now += k
 	h.requireSame("a burst")
 }
 
-// stepRef makes k Cycle calls on ref and returns the OR of their active
-// results and of their retirement. Bursts may span 2^32 cycles, so once a
-// cycle is inactive, stepRef makes one more call, checks that it repeated
-// the cycle (a cycle is a function of the core's state, and the trace is
-// not read when loading changes nothing), and charges the rest of the
-// burst as repeats of it.
-func (h *twinCores) stepRef(k uint64, issue IssueFunc) (active, progressed bool) {
+// stepRef makes k Cycle calls on ref. It returns the first of them (from
+// 1) that presented an op and the last that retired (0 if none), failing
+// if retirement resumes after a cycle that did not retire. Bursts may span
+// 2^32 cycles, so once a cycle is inactive, stepRef makes one more call,
+// checks that it repeated the cycle (a cycle is a function of the core's
+// state, and the trace is not read when loading changes nothing), and
+// charges the rest of the burst as repeats of it.
+func (h *twinCores) stepRef(k uint64, issue IssueFunc) (presented, lastRetire uint64) {
 	h.t.Helper()
-	for i := uint64(0); i < k; i++ {
+	var i uint64
+	counted := func(core int, rec trace.Record) (uint64, bool, error) {
+		if presented == 0 {
+			presented = i + 1
+		}
+		return issue(core, rec)
+	}
+	for ; i < k; i++ {
 		before := h.ref.Retired()
-		a, err := h.ref.Cycle(h.now+i, issue)
+		a, err := h.ref.Cycle(h.now+i, counted)
 		if err != nil {
 			h.t.Fatal(err)
 		}
-		active = active || a
-		progressed = progressed || h.ref.Retired() != before
+		if h.ref.Retired() != before {
+			if lastRetire != i {
+				h.t.Fatalf("cycle %d: retirement resumed after a stall", h.now+i)
+			}
+			lastRetire = i + 1
+		}
 		if a || i+1 == k {
 			continue
 		}
 		prev := stateOf(h.ref)
-		if a, err := h.ref.Cycle(h.now+i+1, issue); err != nil || a {
+		if a, err := h.ref.Cycle(h.now+i+1, counted); err != nil || a {
 			h.t.Fatalf("cycle %d: an inactive cycle was followed by an active one (err %v)", h.now+i+1, err)
 		}
 		next := stateOf(h.ref)
@@ -266,7 +299,7 @@ func (h *twinCores) stepRef(k uint64, issue IssueFunc) (active, progressed bool)
 		h.ref.StallCycles.Add(stalls * (k - i - 2))
 		break
 	}
-	return active, progressed
+	return presented, lastRetire
 }
 
 // runTwins drives the twins through phases chosen by s until it runs out.
@@ -279,13 +312,22 @@ func runTwins(t testing.TB, cfg Config, s *choices) {
 		case p == 2:
 			h.complete(s)
 		case p < 6:
-			h.burst(1 + uint64(s.byte()%8)) // a DRAM cycle is 3 or 4
+			h.burst(splitBurst(s, 1+uint64(s.byte()%8))) // a DRAM cycle is 3 or 4
 		case p == 6:
-			h.burst(1 + s.uint(2)) // up to 2^16
+			h.burst(splitBurst(s, 1+s.uint(2))) // up to 2^16
 		default:
-			h.burst(1 + s.uint(4)) // idle fast-forward, up to 2^32
+			h.burst(splitBurst(s, 1+s.uint(4))) // a quiet stretch, up to 2^32
 		}
 	}
+}
+
+// splitBurst returns a burst's length k and where Advance splits it: 0
+// keeps it whole.
+func splitBurst(s *choices, k uint64) (uint64, uint64) {
+	if s.byte()&1 == 0 || k < 2 {
+		return k, 0
+	}
+	return k, 1 + s.uint(4)%(k-1)
 }
 
 // configFrom picks the core: Table III, or ROB 1–256 and width 1–8.
@@ -296,9 +338,11 @@ func configFrom(s *choices) Config {
 	return Config{ROBSize: 1 + int(s.byte()), Width: 1 + int(s.byte()%8)}
 }
 
-// TestAdvanceMatchesCycle checks Advance against Cycle, and Quiet's promise,
-// on random records with gaps, reads, writes and trace exhaustion, through
-// random accepting cycles, completions, refused bursts and idle advances.
+// TestAdvanceMatchesCycle checks Advance, whole and split in two, against
+// Cycle, and QuietFor, Settled and RetiringFor against the cycles they
+// predict, on random records with gaps, reads, writes and trace
+// exhaustion, through random accepting cycles, completions, refused bursts
+// and quiet stretches.
 func TestAdvanceMatchesCycle(t *testing.T) {
 	cfgs := []Config{DefaultConfig(), {ROBSize: 1, Width: 1}, {ROBSize: 256, Width: 8},
 		{ROBSize: 3, Width: 7}, {ROBSize: 64, Width: math.MaxInt}}

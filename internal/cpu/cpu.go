@@ -290,35 +290,71 @@ func (c *Core) Cycle(now uint64, issue IssueFunc) (active bool, err error) {
 	return active, nil
 }
 
-// Quiet reports whether k calls to Cycle, with no read completing, would
-// never call their issue function: the core is done or blocked, has no
-// pending op and cannot load one, or keeps its pending op outside the ROB
-// window through the k-th cycle although retirement moves the window up.
-// Quiet changes no state.
-func (c *Core) Quiet(k uint64) bool {
-	if c.done || c.blocked || k == 0 {
-		return true
+// QuietFor returns the largest k for which k calls to Cycle, with no read
+// completing, never call their issue function (math.MaxUint64 when no
+// number of cycles would): the core is done or blocked, has no pending op
+// and cannot load one, or keeps its pending op outside the ROB window
+// through the k-th cycle although retirement moves the window up. A core
+// that could still load an op is not quiet: QuietFor is 0. QuietFor
+// changes no state.
+func (c *Core) QuietFor() uint64 {
+	if c.done || c.blocked {
+		return math.MaxUint64
 	}
 	if !c.havePend {
-		return c.opsIssued >= c.opsTarget || c.exhausted
+		if c.opsIssued >= c.opsTarget || c.exhausted {
+			return math.MaxUint64
+		}
+		return 0
 	}
-	// The k-th cycle checks the window after k-1 cycles of retirement.
-	return c.pendingIdx >= c.retiredAfter(k-1, c.retireBound())+uint64(c.cfg.ROBSize)
+	rob := uint64(c.cfg.ROBSize)
+	if c.pendingIdx < c.retired+rob {
+		return 0
+	}
+	// The op stays outside the window while retired <= lim, and the k-th
+	// cycle checks the window after k-1 cycles of retirement.
+	lim := c.pendingIdx - rob
+	if c.retireBound() <= lim {
+		return math.MaxUint64
+	}
+	return (lim-c.retired)/uint64(c.cfg.Width) + 1
+}
+
+// Settled reports that the next cycle, with no read completing and no op
+// accepted, can neither pull an op from the trace nor finish the core. Such
+// cycles then change only the retired count, the stall counter and the
+// blocked flag, until a read completes or an op is accepted.
+func (c *Core) Settled() bool {
+	if c.done || c.havePend {
+		return true
+	}
+	return (c.opsIssued >= c.opsTarget || c.exhausted) && c.nFlights > 0
+}
+
+// RetiringFor returns how many of the next cycles of a Settled core, with
+// no read completing and no op accepted, retire instructions: the first
+// ones, up to the retirement bound, after which every cycle stalls.
+// RetiringFor changes no state.
+func (c *Core) RetiringFor() uint64 {
+	if c.done || c.blocked {
+		return 0
+	}
+	return c.retiringCycles(c.retireBound())
 }
 
 // Advance is exactly k calls to Cycle, at cycles now to now+k-1, in which
 // no read completes and no operation is accepted: the caller delivers no
-// completion and refuses every issue, or knows that Quiet(k) holds. Only
+// completion and refuses every issue, or knows that QuietFor() >= k. Only
 // the first cycle can pull the next op from the trace or finish the core;
 // from then on the retirement bound is fixed, so the cycles reduce to
-// arithmetic. active is the OR of the k cycles' results.
-func (c *Core) Advance(now, k uint64) (active bool) {
+// arithmetic.
+func (c *Core) Advance(now, k uint64) {
 	if c.done || k == 0 {
-		return false
+		return
 	}
 	if c.blocked {
 		c.StallCycles.Add(k)
-		return false
+		return
 	}
 	hadPend, wasExhausted := c.havePend, c.exhausted
 	c.loadPending()
@@ -344,5 +380,4 @@ func (c *Core) Advance(now, k uint64) (active bool) {
 	if n < k && (n > 0 || !loaded || k > 1) && c.frozen() {
 		c.blocked = true
 	}
-	return c.done || loaded || n > 0
 }

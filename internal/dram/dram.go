@@ -622,6 +622,15 @@ func (ch *channel) issueFrom(d mem.AccessType, now uint64, until *uint64) bool {
 	u := *until
 	var same, col, other *head
 	sameSeq, colSeq, otherSeq := uint64(math.MaxUint64), uint64(math.MaxUint64), uint64(math.MaxUint64)
+	if now < colGateSame && now < colGateOther {
+		// The bus gate blocks every column command: no hit head can be
+		// picked, and none is released before the earlier gate. Folding
+		// that gate in for all of them can only make nextTry early.
+		if len(hits) > 0 {
+			u = min(u, colGateSame, colGateOther)
+		}
+		hits = nil
+	}
 	for i := range hits {
 		e := &hits[i]
 		rel, gate := e.rel, colGateOther

@@ -67,26 +67,15 @@ func TestFaultCampaignDeterminism(t *testing.T) {
 	}
 }
 
-// TestFaultIdleSkipEquivalence runs a faulted config with and without idle
-// fast-forwarding; the summaries must match exactly, proving the
-// fast-forward clamp wakes the simulator at every injection and scrub
-// cycle.
+// TestFaultIdleSkipEquivalence runs a faulted config through Run and
+// through the reference loop that steps every cycle; the outputs must
+// match exactly, proving the fast-forward clamp wakes the simulator at
+// every injection and scrub cycle.
 func TestFaultIdleSkipEquivalence(t *testing.T) {
 	for _, scheme := range []string{"synergy", "itesp"} {
-		cfg := faultTestConfig(t, scheme)
-		fast, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		cfg.DisableIdleSkip = true
-		slow, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s (no skip): %v", scheme, err)
-		}
-		fs, ss := fast.Summarize(), slow.Summarize()
-		if !reflect.DeepEqual(fs, ss) {
-			t.Errorf("%s: faulted summaries diverge with idle skip\n  skip: %+v\nnoskip: %+v", scheme, fs, ss)
-		}
+		t.Run(scheme, func(t *testing.T) {
+			requireLoopMatchesReference(t, scheme, faultTestConfig(t, scheme), 10_000)
+		})
 	}
 }
 

@@ -116,34 +116,16 @@ func TestGoldenCycleEquivalence(t *testing.T) {
 	}
 }
 
-// TestIdleSkipEquivalence runs representative configs twice in-process —
-// fast-forwarding and straight-line (DisableIdleSkip) — and requires the
-// full summaries to match exactly. Together with the pinned goldens this
-// proves the optimized loop, with and without skipping, reproduces the
+// TestIdleSkipEquivalence runs every golden config through Run, with its
+// lazy cores and idle fast-forward, and through the reference loop that
+// steps every cycle, and requires identical outputs. Together with the
+// pinned goldens this proves the optimized loop reproduces the
 // pre-optimization simulator cycle for cycle.
 func TestIdleSkipEquivalence(t *testing.T) {
-	cfgs := goldenConfigs(t)
-	for _, name := range []string{"itesp", "vault+llc", "syn128iso"} {
-		cfg, ok := cfgs[name]
-		if !ok {
-			t.Fatalf("missing golden config %q", name)
-		}
-		fast, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		cfg.DisableIdleSkip = true
-		slow, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s (no skip): %v", name, err)
-		}
-		fs, ss := fast.Summarize(), slow.Summarize()
-		if fs.Cycles != ss.Cycles {
-			t.Errorf("%s: Cycles skip=%d noskip=%d", name, fs.Cycles, ss.Cycles)
-		}
-		if !reflect.DeepEqual(fs, ss) {
-			t.Errorf("%s: summaries diverge with idle skip\n skip: %+v\nnoskip: %+v", name, fs, ss)
-		}
+	for name, cfg := range goldenConfigs(t) {
+		t.Run(name, func(t *testing.T) {
+			requireLoopMatchesReference(t, name, cfg, 10_000)
+		})
 	}
 }
 

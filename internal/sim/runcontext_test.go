@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -83,13 +84,22 @@ func (c *flipCtx) Err() error {
 }
 
 // TestRunContextCancelMidRun drives cancellation through the stride check
-// inside the main loop (DisableIdleSkip guarantees enough iterations) and
-// asserts the error names the interruption cycle.
+// inside the main loop and asserts the error names the interruption cycle.
+// The run must last at least cancelStride loop iterations to reach that
+// check: a context that never fires sees the entry check and at least one
+// stride check.
 func TestRunContextCancelMidRun(t *testing.T) {
 	cfg := tinyConfig(t)
-	cfg.DisableIdleSkip = true
+	cfg.OpsPerCore = 20_000
 	base, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	live := &flipCtx{Context: base, after: math.MaxInt}
+	if _, err := RunContext(live, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if live.calls < 2 {
+		t.Fatalf("the run made no stride check: it ends within %d loop iterations", cancelStride)
+	}
 	fc := &flipCtx{Context: base, after: 1} // entry check passes, first stride check fires
 	_, err := RunContext(fc, cfg)
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
@@ -98,8 +108,8 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	if strings.Contains(err.Error(), "at cycle 0:") {
 		t.Fatalf("mid-run cancellation should report a nonzero cycle: %v", err)
 	}
-	if fc.calls < 2 {
-		t.Fatalf("cancellation must have been observed by a stride check, calls=%d", fc.calls)
+	if fc.calls != 2 {
+		t.Fatalf("cancellation must have been observed by the first stride check, calls=%d", fc.calls)
 	}
 }
 

@@ -67,11 +67,6 @@ type Config struct {
 	LLCMBPerCore int
 	// StrictVerify disables speculative verification.
 	StrictVerify bool
-	// DisableIdleSkip forces the straight-line tick-by-tick loop, never
-	// fast-forwarding through idle periods. Results are bit-identical with
-	// and without skipping (the golden equivalence test asserts this); the
-	// knob exists for that comparison and for debugging.
-	DisableIdleSkip bool
 	// Faults configures the deterministic fault-injection campaign. The
 	// zero value disables it entirely, leaving the run bit-identical to a
 	// simulator without the fault subsystem.
@@ -300,6 +295,45 @@ func Run(cfg Config) (*Result, error) { return RunContext(context.Background(), 
 // cycle-equivalence tests pin this — and contexts that can never fire
 // (context.Background) skip the check entirely.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
+	r, err := newRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.loop(ctx); err != nil {
+		return nil, err
+	}
+	return r.result(), nil
+}
+
+// run is one simulation: the machine newRun assembles, and the clock and
+// observers its loop advances.
+type run struct {
+	cfg    Config
+	scheme core.Scheme
+	engine *core.Engine
+	dmem   *dram.Memory
+	fctl   *fault.Controller
+	cores  []*cpu.Core
+	// cpuPerDRAM is the CPU:DRAM clock ratio: 4 on DDR3-1600, 3 on
+	// DDR4-2400.
+	cpuPerDRAM uint64
+	// cpuCycle is the last simulated CPU cycle and the tracer's clock. The
+	// loop iteration that ticks DRAM cycle n covers CPU cycles
+	// n*cpuPerDRAM+1 through (n+1)*cpuPerDRAM.
+	cpuCycle uint64
+
+	// Observability bookkeeping: all nil/zero (and therefore skipped by one
+	// predictable branch per iteration) unless cfg.Obs enables them.
+	series    *obs.Series
+	prog      *obs.Progress
+	nextEpoch uint64
+	opsTarget uint64
+
+	wd drainWatchdog
+}
+
+// newRun validates cfg, fills in its defaults, and assembles the machine.
+func newRun(cfg Config) (*run, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("sim: cores must be positive")
 	}
@@ -401,214 +435,350 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		cores[i] = cpu.NewCore(i, cfg.CPU, src, cfg.OpsPerCore+cfg.WarmupOps)
 	}
 
-	var cpuCycle uint64
-	attachObs(cfg, engine, dmem, cores, filters, &cpuCycle)
-
-	// Tokens encode their issuing core in the low bits (core.TokenCore), so
-	// completion routing needs no token-to-owner map and the issue path is
-	// the engine's Access method unwrapped.
-	issue := engine.Access
-
-	// Observability bookkeeping: all nil/zero (and therefore skipped by
-	// one predictable branch per DRAM tick) unless cfg.Obs enables them.
-	var series *obs.Series
-	var prog *obs.Progress
-	var nextEpoch uint64
-	opsTarget := uint64(cfg.Cores) * (cfg.OpsPerCore + cfg.WarmupOps)
-	opsDone := func() uint64 {
-		var n uint64
-		for _, c := range cores {
-			n += c.OpsIssued()
-		}
-		return n
+	r := &run{
+		cfg:        cfg,
+		scheme:     scheme,
+		engine:     engine,
+		dmem:       dmem,
+		fctl:       fctl,
+		cores:      cores,
+		cpuPerDRAM: cpuPerDRAM,
+		opsTarget:  uint64(cfg.Cores) * (cfg.OpsPerCore + cfg.WarmupOps),
+		wd:         drainWatchdog{pending: engine.Pending},
 	}
+	attachObs(cfg, engine, dmem, cores, filters, &r.cpuCycle)
 	if cfg.Obs != nil {
-		series = cfg.Obs.Series
-		prog = cfg.Obs.Progress
-		if series != nil {
-			series.Sample(0) // latch epoch baselines
-			nextEpoch = series.Interval()
+		r.series = cfg.Obs.Series
+		r.prog = cfg.Obs.Progress
+		if r.series != nil {
+			r.series.Sample(0) // latch epoch baselines
+			r.nextEpoch = r.series.Interval()
 		}
 	}
+	return r, nil
+}
 
+// allDone reports whether every core has finished.
+func (r *run) allDone() bool {
+	for _, c := range r.cores {
+		if !c.Done() {
+			return false
+		}
+	}
+	return true
+}
+
+// epochDue reports whether the time-series must close an epoch at the
+// current CPU cycle.
+func (r *run) epochDue() bool { return r.series != nil && r.cpuCycle >= r.nextEpoch }
+
+// sample closes the epoch that epochDue reported.
+func (r *run) sample() {
+	r.series.Sample(r.cpuCycle)
+	r.nextEpoch += r.series.Interval()
+}
+
+// progress reports live progress when the throttle lets it through.
+func (r *run) progress() {
+	if r.prog != nil {
+		r.prog.Maybe(r.progressStat)
+	}
+}
+
+func (r *run) progressStat() obs.ProgressStat {
+	var ops uint64
+	for _, c := range r.cores {
+		ops += c.OpsIssued()
+	}
+	return obs.ProgressStat{CPUCycles: r.cpuCycle, OpsDone: ops, OpsTarget: r.opsTarget}
+}
+
+// never is the wake of a core that no number of cycles makes present an
+// op, and the bound of an event that will not come.
+const never = ^uint64(0)
+
+// lazyCore is the loop's record of one core. The core has been charged
+// every CPU cycle through at; the cycles since are owed to it. It needs a
+// look in the iteration whose burst holds CPU cycle wake, the first cycle
+// at which it may present an op, or, when parked, once backpressure clears.
+// While set aside, it retires through CPU cycle retires.
+type lazyCore struct {
+	*cpu.Core
+	at      uint64
+	wake    uint64
+	retires uint64
+	parked  bool
+}
+
+// catchUp charges the core, with one Advance, the cycles it owes through
+// CPU cycle to.
+func (l *lazyCore) catchUp(to uint64) {
+	if l.at < to {
+		l.Advance(l.at+1, to-l.at)
+		l.at = to
+	}
+}
+
+// wakeAt returns the first CPU cycle at which a core charged through at
+// and quiet for q more cycles may present an op.
+func wakeAt(at, q uint64) uint64 {
+	if q >= never-at {
+		return never
+	}
+	return at + q + 1
+}
+
+// loop runs the simulation to completion. Each iteration ticks one DRAM
+// cycle and then runs a burst of cpuPerDRAM CPU cycles, but it touches a
+// core only at the core's own events. A core is stepped with Cycle only
+// through bursts in which it may present an op to an engine that accepts
+// one. Every other core is set aside and owes the cycles since: in them no
+// read reaches it and no op of its is accepted, so one Advance charges
+// them exactly. The owed cycles are charged before a completion reaches
+// the core, at the end of its quiet horizon (QuietFor), when backpressure
+// clears for a core parked by it, and before each epoch sample, which reads
+// the cores' counters. The run ends only once every core is done, and a
+// done core owes nothing, so the end needs no charge.
+//
+// A set-aside core is Settled, so it neither loads an op nor finishes while
+// set aside, and the done flags read at the top of each iteration are
+// current. Its retirement in the stretch is a prefix, RetiringFor cycles
+// long, so the watchdog knows in advance which iterations retire: those
+// whose burst starts before some set-aside core's last retiring cycle. A
+// completion can end that prefix early, by finishing the core, so the
+// horizon is recomputed whenever the core is looked at.
+//
+// After an iteration with an idle engine, no completion, no stepped core
+// and no finished core, nothing was enqueued, so Memory.NextEvent stays
+// valid, and every iteration before the earliest of that event, the fault
+// campaign's wake, the next epoch boundary and the first core wake repeats
+// it. The loop jumps there at once, charges the watchdog the no-progress
+// cycles a stepping loop would count, and stops where that loop would trip
+// it. internal/sim/loop_test.go checks the loop against one that steps
+// every core through every cycle.
+func (r *run) loop(ctx context.Context) error {
 	cancelable := ctx.Done() != nil
 	if cancelable {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%w at cycle 0: %w", ErrCanceled, err)
+			return fmt.Errorf("%w at cycle 0: %w", ErrCanceled, err)
 		}
 	}
 	var sinceCancelCheck uint64
 
-	wd := drainWatchdog{pending: engine.Pending}
-	var tokenBuf []uint64
-	var stepping []*cpu.Core
+	p := r.cpuPerDRAM
+	lazy := make([]lazyCore, len(r.cores))
+	for i, c := range r.cores {
+		lazy[i].Core = c
+	}
+	sample := func() {
+		for i := range lazy {
+			lazy[i].catchUp(r.cpuCycle)
+		}
+		r.sample()
+	}
+	// Tokens encode their issuing core in the low bits (core.TokenCore), so
+	// completion routing needs no token-to-owner map and the issue path is
+	// the engine's Access method unwrapped.
+	issue := r.engine.Access
+	var (
+		tokenBuf []uint64
+		stepping []*lazyCore
+		parked   bool // some core may be parked
+	)
 	for {
 		if cancelable {
 			if sinceCancelCheck++; sinceCancelCheck >= cancelStride {
 				sinceCancelCheck = 0
 				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("%w at cycle %d: %w", ErrCanceled, cpuCycle, err)
+					return fmt.Errorf("%w at cycle %d: %w", ErrCanceled, r.cpuCycle, err)
 				}
 			}
 		}
-		allDone := true
-		for _, c := range cores {
-			if !c.Done() {
-				allDone = false
-				break
-			}
-		}
+		allDone := r.allDone()
 		if allDone {
 			// Stop injecting and scrubbing so the run can drain;
 			// in-flight corrections still resolve (Pending covers them).
-			engine.QuiesceFaults()
-			if engine.Pending() == 0 {
-				break
+			r.engine.QuiesceFaults()
+			if r.engine.Pending() == 0 {
+				return nil
 			}
 		}
-		progressed := false
-		tokens, engActive := engine.Tick(tokenBuf[:0])
+		start, end := r.cpuCycle, r.cpuCycle+p
+		tokens, engActive := r.engine.Tick(tokenBuf[:0])
 		tokenBuf = tokens[:0]
 		for _, tok := range tokens {
-			cores[core.TokenCore(tok)].OnComplete(tok)
-			progressed = true
+			l := &lazy[core.TokenCore(tok)]
+			l.catchUp(start)
+			l.OnComplete(tok)
+			l.wake, l.parked = 0, false
 		}
-		// The CPU burst. No read completes within it (completions are
-		// delivered only before it) and backpressure cannot clear within it
-		// (the spill drains only in Engine.Tick), so a core the engine
-		// refuses, or a quiet one that presents no op, runs the burst in
-		// closed form, apart from the others: a refused Access has no side
-		// effects and each core owns its trace source. The remaining cores
-		// step cycle by cycle in core order, and cpuCycle, the tracer's
-		// clock, rises once per cycle.
-		coresActive := false
-		refused := engine.Backpressured()
+		// Backpressure holds through the burst: the spill drains only in
+		// Engine.Tick. A refused Access has no side effects, so a core the
+		// engine refuses is parked, owing its cycles, until it clears.
+		refused := r.engine.Backpressured()
+		if parked && !refused {
+			for i := range lazy {
+				if lazy[i].parked {
+					lazy[i].wake, lazy[i].parked = 0, false
+				}
+			}
+			parked = false
+		}
+		progressed, finished := len(tokens) > 0, false
 		stepping = stepping[:0]
-		for _, c := range cores {
-			if !refused && !c.Quiet(cpuPerDRAM) {
-				stepping = append(stepping, c)
+		var retireUntil uint64 // the last CPU cycle at which a set-aside core retires
+		for i := range lazy {
+			l := &lazy[i]
+			if l.wake <= end {
+				// The core's own event: charge it, then step it through the
+				// burst or set it aside anew.
+				l.catchUp(start)
+				l.retires = 0
+				quiet := never
+				if !refused {
+					quiet = l.QuietFor()
+				}
+				if quiet < p {
+					stepping = append(stepping, l)
+				} else {
+					// An unsettled core loads its next op or finishes in the
+					// burst's first cycle, so it runs the burst now.
+					if !l.Settled() {
+						before := l.Retired()
+						l.Advance(start+1, p)
+						l.at = end
+						progressed = progressed || l.Retired() != before
+						finished = finished || l.Done()
+						quiet = l.QuietFor()
+					}
+					if n := l.RetiringFor(); n > 0 {
+						l.retires = l.at + n
+					}
+					if refused {
+						l.wake, l.parked, parked = never, true, true
+					} else {
+						l.wake = wakeAt(l.at, quiet)
+					}
+				}
+			}
+			retireUntil = max(retireUntil, l.retires)
+		}
+		progressed = progressed || retireUntil > start
+		// The stepped cores run cycle by cycle in core order, and cpuCycle,
+		// the tracer's clock, rises once per cycle. Each core owns its trace
+		// source, so a core set aside changes nothing a stepped one sees.
+		for r.cpuCycle < end {
+			r.cpuCycle++
+			for _, l := range stepping {
+				before := l.Retired()
+				if _, err := l.Cycle(r.cpuCycle, issue); err != nil {
+					return err
+				}
+				progressed = progressed || l.Retired() != before
+			}
+		}
+		for _, l := range stepping {
+			l.at = end
+		}
+		if r.epochDue() {
+			sample()
+		}
+		r.progress()
+		if err := r.wd.observe(progressed, 1, allDone, r.cpuCycle); err != nil {
+			return err
+		}
+
+		// Idle fast-forward.
+		if engActive || len(tokens) > 0 || len(stepping) > 0 || finished {
+			continue
+		}
+		now := r.dmem.Now()
+		skip := never
+		if next := min(r.dmem.NextEvent(), r.engine.FaultNextWake()); next != never {
+			if next <= now {
 				continue
 			}
-			before := c.Retired()
-			coresActive = c.Advance(cpuCycle+1, cpuPerDRAM) || coresActive
-			progressed = progressed || c.Retired() != before
+			skip = next - now
 		}
-		if len(stepping) == 0 {
-			cpuCycle += cpuPerDRAM
+		if r.series != nil {
+			// Stop where cpuCycle reaches the epoch boundary, so samples
+			// land on the cycles a stepping loop samples at.
+			need := uint64(1)
+			if r.nextEpoch > r.cpuCycle {
+				need = (r.nextEpoch - r.cpuCycle + p - 1) / p
+			}
+			skip = min(skip, need)
 		}
-		for i := uint64(0); len(stepping) > 0 && i < cpuPerDRAM; i++ {
-			cpuCycle++
-			for _, c := range stepping {
-				before := c.Retired()
-				active, err := c.Cycle(cpuCycle, issue)
-				if err != nil {
-					return nil, err
-				}
-				coresActive = coresActive || active
-				if c.Retired() != before {
-					progressed = true
+		if !refused {
+			// A core waking at w needs a look in the first burst that
+			// holds w. While the engine refuses, no wake matters.
+			for i := range lazy {
+				if w := lazy[i].wake; w > r.cpuCycle {
+					skip = min(skip, (w-r.cpuCycle-1)/p)
+				} else {
+					skip = 0
 				}
 			}
 		}
-		if series != nil && cpuCycle >= nextEpoch {
-			series.Sample(cpuCycle)
-			nextEpoch += series.Interval()
-		}
-		if prog != nil {
-			prog.Maybe(func() obs.ProgressStat {
-				return obs.ProgressStat{CPUCycles: cpuCycle, OpsDone: opsDone(), OpsTarget: opsTarget}
-			})
-		}
-		if err := wd.observe(progressed, 1, allDone, cpuCycle); err != nil {
-			return nil, err
-		}
-
-		// Idle fast-forward: this iteration delivered nothing, issued
-		// nothing, and changed no core state, so every following iteration
-		// repeats it exactly — except for stall/bus-busy counters and epoch
-		// boundaries, which advance arithmetically — until the next DRAM
-		// event. Skip to it in bulk (chunked at epoch boundaries so Series
-		// samples fire at identical cpuCycle values). Every core was
-		// advanced or stepped without activity, so it can neither load nor
-		// retire, and is refused or quiet: Advance only charges its stalls.
-		if cfg.DisableIdleSkip || engActive || coresActive || len(tokens) > 0 {
+		if skip == 0 {
 			continue
 		}
-		next := dmem.NextEvent()
-		if fw := engine.FaultNextWake(); fw < next {
-			// The fault campaign must act (injection or scrub) before the
-			// next DRAM event: clamp the skip so it fires on time.
-			next = fw
+		// The skipped iterations whose bursts start before retireUntil
+		// retire; the rest count toward the watchdog, and the skip stops
+		// where a stepping loop would trip it.
+		retiring := uint64(0)
+		if retireUntil > r.cpuCycle {
+			retiring = min(skip, (retireUntil-r.cpuCycle+p-1)/p)
+			_ = r.wd.observe(true, retiring, allDone, r.cpuCycle) // progress never trips it
 		}
-		if next == ^uint64(0) || next <= dmem.Now() {
-			continue
+		skip = min(skip, retiring+r.wd.budget(allDone))
+		r.dmem.SkipTo(now + skip)
+		r.cpuCycle += skip * p
+		if r.epochDue() {
+			sample()
 		}
-		for skip := next - dmem.Now(); skip > 0; {
-			chunk := skip
-			if series != nil {
-				need := uint64(1)
-				if nextEpoch > cpuCycle {
-					need = (nextEpoch - cpuCycle + cpuPerDRAM - 1) / cpuPerDRAM
-				}
-				if need < chunk {
-					chunk = need
-				}
-			}
-			dmem.SkipTo(dmem.Now() + chunk)
-			cc := chunk * cpuPerDRAM
-			for _, c := range cores {
-				c.Advance(cpuCycle+1, cc)
-			}
-			cpuCycle += cc
-			if series != nil && cpuCycle >= nextEpoch {
-				series.Sample(cpuCycle)
-				nextEpoch += series.Interval()
-			}
-			if err := wd.observe(false, chunk, allDone, cpuCycle); err != nil {
-				return nil, err
-			}
-			skip -= chunk
-		}
-		if prog != nil {
-			prog.Maybe(func() obs.ProgressStat {
-				return obs.ProgressStat{CPUCycles: cpuCycle, OpsDone: opsDone(), OpsTarget: opsTarget}
-			})
+		r.progress()
+		if err := r.wd.observe(false, skip-retiring, allDone, r.cpuCycle); err != nil {
+			return err
 		}
 	}
+}
 
-	// Close the final (possibly partial) epoch and flush progress so short
-	// runs still produce a non-empty time-series.
-	if series != nil {
-		series.Sample(cpuCycle)
+// result closes the final (possibly partial) epoch, flushes progress so
+// short runs still produce a non-empty time-series, and assembles the
+// run's measurements.
+func (r *run) result() *Result {
+	if r.series != nil {
+		r.series.Sample(r.cpuCycle)
 	}
-	if prog != nil {
-		prog.Flush(obs.ProgressStat{CPUCycles: cpuCycle, OpsDone: opsDone(), OpsTarget: opsTarget})
+	if r.prog != nil {
+		r.prog.Flush(r.progressStat())
 	}
 
 	res := &Result{
-		Config: cfg,
-		Scheme: scheme,
-		Engine: engine,
-		Memory: dmem,
+		Config: r.cfg,
+		Scheme: r.scheme,
+		Engine: r.engine,
+		Memory: r.dmem,
 	}
 	var maxFinish uint64
-	for _, c := range cores {
+	for _, c := range r.cores {
 		res.PerCoreCycles = append(res.PerCoreCycles, c.FinishCycle())
 		if c.FinishCycle() > maxFinish {
 			maxFinish = c.FinishCycle()
 		}
 	}
-	res.Overflows = engine.Overflows()
-	if fctl != nil {
-		fctl.Finalize(dmem.Now())
-		res.Faults = fctl.Summarize()
+	res.Overflows = r.engine.Overflows()
+	if r.fctl != nil {
+		r.fctl.Finalize(r.dmem.Now())
+		res.Faults = r.fctl.Summarize()
 	}
 	res.Cycles = maxFinish
-	if scheme.ModelOverflow {
-		res.Cycles += engine.OverflowPenaltyCycles() / uint64(cfg.Cores)
+	if r.scheme.ModelOverflow {
+		res.Cycles += r.engine.OverflowPenaltyCycles() / uint64(r.cfg.Cores)
 	}
 	p := energy.DefaultParams()
-	res.MemoryJoules = energy.MemoryJoules(dmem, dmem.Now(), p)
-	res.SystemEDP = energy.SystemEDP(res.MemoryJoules, res.Cycles, cfg.Cores, p)
-	return res, nil
+	res.MemoryJoules = energy.MemoryJoules(r.dmem, r.dmem.Now(), p)
+	res.SystemEDP = energy.SystemEDP(res.MemoryJoules, res.Cycles, r.cfg.Cores, p)
+	return res
 }

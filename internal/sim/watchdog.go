@@ -37,14 +37,27 @@ var (
 // drainWatchdog detects a wedged simulation. It counts consecutive
 // no-progress DRAM cycles; under idle fast-forward the skipped cycles are
 // charged in bulk, so the guard measures simulated time, not loop
-// iterations — a fast-forwarded run trips it at the same simulated cycle a
-// straight-line run would.
+// iterations. A fast-forward stops at the watchdog's budget, so it trips at
+// the cycle, and with the pending count, of a loop that steps every cycle.
 type drainWatchdog struct {
 	idle uint64
 	// pending counts the in-flight work that a trip's error message
 	// reports; it is called only when the watchdog trips.
 	pending func() int
 }
+
+// idleLimit returns the no-progress budget: the residual-write drain after
+// every core has finished is refresh-bound and gets the tighter one.
+func idleLimit(allDone bool) uint64 {
+	if allDone {
+		return drainLimit
+	}
+	return deadlockLimit
+}
+
+// budget returns how many more DRAM cycles without progress trip the
+// watchdog: the last of them is the trip cycle.
+func (w *drainWatchdog) budget(allDone bool) uint64 { return idleLimit(allDone) + 1 - w.idle }
 
 // observe records that `cycles` simulated DRAM cycles elapsed with
 // (progressed=true) or without (progressed=false) forward progress, and
@@ -55,15 +68,11 @@ func (w *drainWatchdog) observe(progressed bool, cycles uint64, allDone bool, cp
 		return nil
 	}
 	w.idle += cycles
-	if allDone {
-		// Draining residual writes; refresh-bound, give it time.
-		if w.idle > drainLimit {
-			return fmt.Errorf("%w after %d idle cycles at cycle %d (pending=%d)", ErrDrainStall, w.idle, cpuCycle, w.pending())
-		}
+	if w.idle <= idleLimit(allDone) {
 		return nil
 	}
-	if w.idle > deadlockLimit {
-		return fmt.Errorf("%w at cycle %d (pending=%d)", ErrDeadlock, cpuCycle, w.pending())
+	if allDone {
+		return fmt.Errorf("%w after %d idle cycles at cycle %d (pending=%d)", ErrDrainStall, w.idle, cpuCycle, w.pending())
 	}
-	return nil
+	return fmt.Errorf("%w at cycle %d (pending=%d)", ErrDeadlock, cpuCycle, w.pending())
 }

@@ -98,3 +98,23 @@ func TestWatchdogCountsSimulatedCycles(t *testing.T) {
 		t.Fatal("bulk watchdog did not trip past the limit")
 	}
 }
+
+// TestWatchdogBudget: a fast-forward clamped to the budget trips the
+// watchdog on its last cycle, as a loop observing one cycle at a time
+// would; one cycle fewer leaves it running.
+func TestWatchdogBudget(t *testing.T) {
+	for _, allDone := range []bool{false, true} {
+		var calls int
+		w := drainWatchdog{pending: pendingCount(0, &calls)}
+		if err := w.observe(false, 1000, allDone, 0); err != nil {
+			t.Fatal(err)
+		}
+		b := w.budget(allDone)
+		if err := w.observe(false, b-1, allDone, 0); err != nil {
+			t.Fatalf("allDone=%v: tripped one cycle before the budget ran out: %v", allDone, err)
+		}
+		if err := w.observe(false, 1, allDone, 0); err == nil {
+			t.Fatalf("allDone=%v: did not trip when the budget ran out", allDone)
+		}
+	}
+}

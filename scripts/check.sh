@@ -8,8 +8,12 @@
 # The DRAM scheduler's differential fuzz target then runs for 30 s: it
 # checks the memoized FR-FCFS scheduler against the memo-free reference in
 # internal/dram/reference_test.go on fuzzed traffic. The core's fuzz target
-# then runs for 15 s: it checks the closed-form Advance and Quiet against
-# Cycle, step by step, in internal/cpu/advance_test.go.
+# then runs for 15 s: it checks the closed-form Advance and the horizon
+# queries QuietFor, Settled and RetiringFor against Cycle, step by step, in
+# internal/cpu/advance_test.go. The simulation loop's fuzz target then runs
+# for 15 s: it checks the lazy-core loop, fast-forward included, against a
+# reference loop that steps every core through every cycle, on fuzzed
+# configs, in internal/sim/loop_test.go.
 #
 # The farm's long-poll tests (sweep-status and lease long-polls, RunSweep,
 # Shutdown unparking) then run ten more times under -race: they park and
@@ -29,5 +33,6 @@ go test -race ./internal/stats/... ./internal/obs/... ./internal/runner/... ./in
 go test ./...
 go test -run '^$' -fuzz '^FuzzSchedulerMatchesReference$' -fuzztime 30s ./internal/dram/
 go test -run '^$' -fuzz '^FuzzAdvanceMatchesCycle$' -fuzztime 15s ./internal/cpu/
+go test -run '^$' -fuzz '^FuzzLoopMatchesReference$' -fuzztime 15s ./internal/sim/
 go test -race -count=10 -run 'TestSweepLongPoll|TestRunSweep|TestChaosShutdownDrainsParked|TestFarmLongPollWake' ./internal/farm/
 go test -count=3 -run 'TestChaos' ./internal/runner/... ./internal/farm/... || echo "chaos suite: FAILED (non-gating)" >&2
