@@ -76,8 +76,6 @@ func main() {
 		*cacheDir = ""
 	}
 
-	jsonOut := map[string]any{}
-
 	var runnerStats runner.Stats
 
 	// Sweep telemetry is attached only when something consumes it (-status-addr
@@ -127,26 +125,18 @@ func main() {
 			TraceCap:      *traceCap,
 		},
 	}
-	if *progress && *farmAddr != "" {
-		// Farm runs have no local collector feed; report from the callback's
-		// own counts.
+	if *progress {
 		o.Obs.OnRunDone = func(done, total int, key string, cached bool) {
-			tag := ""
+			line := fmt.Sprintf("[%d/%d] %s", done, total, key)
 			if cached {
-				tag = " (cached)"
+				line += " (cached)"
 			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s%s\n", done, total, key, tag)
-		}
-	} else if *progress {
-		o.Obs.OnRunDone = func(done, total int, key string, cached bool) {
-			tag := ""
-			if cached {
-				tag = " (cached)"
-			}
-			p := col.Snapshot()
-			line := fmt.Sprintf("[%d/%d] %s%s | cache %.0f%% | %.1f jobs/s", p.Completed, p.Jobs, key, tag, 100*p.CacheHitRatio, p.JobsPerSec)
-			if p.EtaS > 0 {
-				line += fmt.Sprintf(" | ETA %s", (time.Duration(p.EtaS * float64(time.Second))).Round(time.Second))
+			if *farmAddr == "" { // farm runs do not feed the local collector
+				p := col.Snapshot()
+				line += fmt.Sprintf(" | cache %.0f%% | %.1f jobs/s", 100*p.CacheHitRatio, p.JobsPerSec)
+				if p.EtaS > 0 {
+					line += fmt.Sprintf(" | ETA %s", (time.Duration(p.EtaS * float64(time.Second))).Round(time.Second))
+				}
 			}
 			fmt.Fprintln(os.Stderr, line)
 		}
@@ -155,110 +145,27 @@ func main() {
 		o.Benchmarks = strings.Split(*bench, ",")
 	}
 
-	record := func(key string, v any) {
-		if *jsonPath != "" {
-			jsonOut[key] = v
-		}
-	}
-	runFig := func(n int) error {
-		start := time.Now()
-		defer func() { fmt.Fprintf(os.Stderr, "[fig %d done in %v]\n", n, time.Since(start).Round(time.Second)) }()
-		switch n {
-		case 2:
-			v, err := experiments.Fig2(o)
-			record("fig2", v)
-			return err
-		case 3:
-			v, err := experiments.Fig3(o)
-			record("fig3", v)
-			return err
-		case 5:
-			inter, iso := experiments.Fig5(o)
-			record("fig5", map[string]any{"interleaved": inter, "isolated": iso})
-			return nil
-		case 8:
-			v, err := experiments.Fig8(o)
-			if v != nil {
-				record("fig8", v.Schemes)
-			}
-			return err
-		case 9:
-			v, err := experiments.Fig9(o)
-			record("fig9", v)
-			return err
-		case 10:
-			v, err := experiments.Fig10(o)
-			record("fig10", v)
-			return err
-		case 11:
-			v, err := experiments.Fig11(o)
-			if v != nil {
-				record("fig11", v.Schemes)
-			}
-			return err
-		case 12:
-			v, err := experiments.Fig12(o)
-			record("fig12", v)
-			return err
-		case 13:
-			v, err := experiments.Fig13(o)
-			record("fig13", v)
-			return err
-		case 15:
-			v, err := experiments.Fig15(o)
-			record("fig15", v)
-			return err
-		}
-		return fmt.Errorf("unknown figure %d", n)
-	}
-	runTable := func(n int) error {
-		switch n {
-		case 1:
-			record("table1", experiments.Table1(o))
-			return nil
-		case 2:
-			record("table2", experiments.Table2(o))
-			return nil
-		}
-		return fmt.Errorf("unknown table %d", n)
-	}
-
-	var err error
+	var names []string
 	switch {
 	case *all:
-		for _, t := range []int{1, 2} {
-			if err = runTable(t); err != nil {
-				break
-			}
-			fmt.Println()
-		}
-		if err == nil {
-			for _, f := range []int{2, 3, 5, 8, 9, 10, 11, 12, 13, 15} {
-				if err = runFig(f); err != nil {
-					break
-				}
-				fmt.Println()
-			}
-		}
+		names = experiments.AllArtifacts
 	case *ablations:
-		err = experiments.Ablations(o)
+		names = experiments.AblationArtifacts
 	case *schemeSweep:
-		var v *experiments.Fig8Result
-		v, err = experiments.SweepSchemes(o)
-		if v != nil {
-			record("scheme_sweep", v.Schemes)
-		}
+		names = []string{"scheme_sweep"}
 	case *table2Timing:
-		var v *experiments.Table2TimingResult
-		v, err = experiments.Table2Timing(o)
-		record("table2_timing", v)
+		names = []string{"table2_timing"}
 	case *fig != 0:
-		err = runFig(*fig)
+		names = []string{fmt.Sprintf("fig%d", *fig)}
 	case *table != 0:
-		err = runTable(*table)
+		names = []string{fmt.Sprintf("table%d", *table)}
 	default:
 		flag.Usage()
 		os.Exit(2)
+	}
+	jsonOut, err := experiments.Run(o, names...)
+	if err == nil && *all {
+		fmt.Println() // -all ends every artifact with a blank line, the last one too
 	}
 	if runnerStats.Jobs > 0 {
 		fmt.Fprintf(os.Stderr, "[runner: %s]\n", runnerStats)

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md's per-experiment index). Each Fig*/Table*
-// function runs the required simulations, prints the paper's rows/series to
-// the configured writer, and returns the numbers for tests and downstream
-// analysis.
+// evaluation (see DESIGN.md's per-experiment index). Each artifact declares
+// the runs it needs and renders the paper's rows/series from their
+// summaries; Run simulates the union of the named artifacts' runs as one
+// batch, each distinct spec once, then renders them in order. The
+// Fig*/Table*/Ablation* functions run one artifact and return its numbers
+// for tests and downstream analysis.
 package experiments
 
 import (
@@ -11,7 +13,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -90,8 +91,8 @@ type Options struct {
 }
 
 // ObsOptions attach the observability layer to every simulation of an
-// experiment sweep. Each enabled directory receives one file per run,
-// named after the run key (e.g. itesp_mcf.metrics.json); every parallel
+// experiment sweep. Each enabled directory receives one file per simulated
+// spec, named after its job key (e.g. itesp_mcf.metrics.json); every parallel
 // simulation gets its own obs.Observer, so the internal/stats single-owner
 // contract holds.
 type ObsOptions struct {
@@ -206,20 +207,24 @@ func (o Options) cores(def int) int {
 	return def
 }
 
-func (o Options) benchList(defaults []string) []workload.Spec {
-	names := o.Benchmarks
-	if names == nil {
-		names = defaults
+// machine resolves the simulated system: the Cores/Channels overrides if
+// set, otherwise the experiment's paper default.
+func (o Options) machine(def machine) machine {
+	def.cores = o.cores(def.cores)
+	if o.Channels > 0 {
+		def.channels = o.Channels
 	}
-	var specs []workload.Spec
-	for _, n := range names {
-		s, err := workload.ByName(n)
-		if err != nil {
-			panic(err)
-		}
-		specs = append(specs, s)
+	return def
+}
+
+// benches returns the benchmarks an experiment runs: the Benchmarks
+// override if set, otherwise its paper defaults. The job set resolves the
+// names (see union).
+func (o Options) benches(defaults []string) []string {
+	if o.Benchmarks == nil {
+		return defaults
 	}
-	return specs
+	return o.Benchmarks
 }
 
 // allBenchmarks returns all 31 benchmark names in suite order.
@@ -231,10 +236,197 @@ func allBenchmarks() []string {
 	return names
 }
 
-// job is one simulation in a batch.
-type job struct {
-	key  string
-	spec runspec.Spec
+// machine is a simulated system's core and channel count.
+type machine struct{ cores, channels int }
+
+// paperMachine is the paper's default 4-core, 1-channel system.
+var paperMachine = machine{4, 1}
+
+// key names config's run of bench on m: "config/bench" on the paper
+// machine, otherwise prefixed with the machine, e.g. "8c2ch/itesp/mcf", so
+// that runs on different machines never share a key.
+func (m machine) key(config, bench string) string {
+	if m == paperMachine {
+		return config + "/" + bench
+	}
+	return fmt.Sprintf("%dc%dch/%s/%s", m.cores, m.channels, config, bench)
+}
+
+// runs holds a job set's summaries under every declared key. Every key has
+// one: the runner and the farm return every job's summary from a batch
+// that does not fail.
+type runs map[string]*sim.Summary
+
+// norm compares config cur against config base on machine m: for each
+// benchmark, metric(cur)/metric(base), keyed by benchmark and, in benchmark
+// order, as a slice.
+func (r runs) norm(m machine, benches []string, base, cur string, metric func(*sim.Summary) float64) (map[string]float64, []float64) {
+	byBench := map[string]float64{}
+	var vals []float64
+	for _, b := range benches {
+		v := metric(r[m.key(cur, b)]) / metric(r[m.key(base, b)])
+		byBench[b] = v
+		vals = append(vals, v)
+	}
+	return byBench, vals
+}
+
+// geo is the geometric mean of norm's values.
+func (r runs) geo(m machine, benches []string, base, cur string, metric func(*sim.Summary) float64) float64 {
+	_, vals := r.norm(m, benches, base, cur, metric)
+	return stats.GeoMean(vals)
+}
+
+// Metrics that norm compares.
+func cycles(s *sim.Summary) float64 { return float64(s.Cycles) }
+func joules(s *sim.Summary) float64 { return s.MemoryJoules }
+func edp(s *sim.Summary) float64    { return s.SystemEDP }
+
+// artifact is one table, figure or ablation study: the runs it needs and
+// how it prints them.
+type artifact struct {
+	jobs []runspec.Named
+	// render prints the artifact to w from its runs' summaries, read under
+	// its own keys. It returns the artifact's result and its -json value
+	// (nil for none).
+	render func(w io.Writer, r runs) (result, js any, err error)
+}
+
+// artifacts declares each artifact by name; the name is also its -json key.
+var artifacts = map[string]func(Options) artifact{
+	"table1":                   table1Artifact,
+	"table2":                   table2Artifact,
+	"fig2":                     fig2Artifact,
+	"fig3":                     fig3Artifact,
+	"fig5":                     fig5Artifact,
+	"fig8":                     fig8Artifact,
+	"fig9":                     fig9Artifact,
+	"fig10":                    fig10Artifact,
+	"fig11":                    fig11Artifact,
+	"fig12":                    fig12Artifact,
+	"fig13":                    fig13Artifact,
+	"fig15":                    fig15Artifact,
+	"scheme_sweep":             sweepArtifact,
+	"table2_timing":            table2TimingArtifact,
+	"ablation_parity_share":    parityShareArtifact,
+	"ablation_itesp_leaf":      itespLeafArtifact,
+	"ablation_strict_verify":   strictVerifyArtifact,
+	"ablation_isolation_parts": isolationPartsArtifact,
+}
+
+// AllArtifacts lists every table and figure, in the order -all prints them.
+var AllArtifacts = []string{"table1", "table2", "fig2", "fig3", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig15"}
+
+// AblationArtifacts lists the ablation studies, in the order -ablations
+// prints them.
+var AblationArtifacts = []string{"ablation_parity_share", "ablation_itesp_leaf", "ablation_strict_verify", "ablation_isolation_parts"}
+
+// jobSet is the named artifacts' declarations and the union of their runs.
+type jobSet struct {
+	arts []artifact
+	// jobs holds one job per distinct spec, named by the spec's first
+	// declaration.
+	jobs []runspec.Named
+	// job maps every declared key to the key of the job that runs its spec.
+	job map[string]string
+}
+
+// declare builds the named artifacts' job set.
+func declare(o Options, names []string) (*jobSet, error) {
+	var arts []artifact
+	for _, name := range names {
+		decl, ok := artifacts[name]
+		if !ok {
+			return nil, fmt.Errorf("experiments: unknown artifact %q", name)
+		}
+		arts = append(arts, decl(o))
+	}
+	return union(arts)
+}
+
+// union takes the union of the artifacts' runs. Duplicate specs are
+// dropped by hash; a key declared for two different specs is an error. Every
+// spec is validated here, so an unknown benchmark fails before anything
+// simulates or prints.
+func union(arts []artifact) (*jobSet, error) {
+	set := &jobSet{arts: arts, job: map[string]string{}}
+	hashes := map[string]string{} // declared key → spec hash
+	first := map[string]string{}  // spec hash → key of its job
+	for _, a := range arts {
+		for _, j := range a.jobs {
+			h, err := j.Spec.Hash()
+			if err == nil {
+				err = j.Spec.Validate()
+			}
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s: %w", j.Key, err)
+			}
+			if prev, ok := hashes[j.Key]; ok && prev != h {
+				return nil, fmt.Errorf("experiments: key %q declared for two different specs", j.Key)
+			}
+			hashes[j.Key] = h
+			if _, ok := first[h]; !ok {
+				first[h] = j.Key
+				set.jobs = append(set.jobs, j)
+			}
+			set.job[j.Key] = first[h]
+		}
+	}
+	return set, nil
+}
+
+// Run regenerates the named artifacts (see AllArtifacts, AblationArtifacts,
+// and "scheme_sweep" and "table2_timing") from one job set: it simulates
+// the union of their runs as one batch, each distinct spec once, then
+// prints the artifacts in order, separated by blank lines. It returns each
+// artifact's -json value by name. A failed batch renders nothing.
+func Run(o Options, names ...string) (map[string]any, error) {
+	_, js, err := run(o, names)
+	return js, err
+}
+
+// run is Run that also returns each artifact's result, in names order.
+func run(o Options, names []string) ([]any, map[string]any, error) {
+	set, err := declare(o, names)
+	if err != nil {
+		return nil, nil, err
+	}
+	r := runs{}
+	if len(set.jobs) > 0 {
+		if r, err = runBatch(o, set.jobs); err != nil {
+			return nil, nil, err
+		}
+	}
+	for key, job := range set.job {
+		r[key] = r[job]
+	}
+	w := o.writer()
+	vals := make([]any, len(set.arts))
+	js := map[string]any{}
+	for i, a := range set.arts {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		v, jv, err := a.render(w, r)
+		if err != nil {
+			return nil, nil, err
+		}
+		vals[i] = v
+		if jv != nil {
+			js[names[i]] = jv
+		}
+	}
+	return vals, js, nil
+}
+
+// runOne runs a single artifact and returns its result.
+func runOne[T any](o Options, name string) (T, error) {
+	vals, _, err := run(o, []string{name})
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return vals[0].(T), nil
 }
 
 // runBatch executes jobs through the runner: a bounded worker pool with
@@ -242,7 +434,7 @@ type job struct {
 // o.Obs enables artifacts, each simulated job runs with its own observer
 // and writes its files before the job is counted done; cache hits skip the
 // simulation and therefore produce no new artifacts.
-func runBatch(o Options, jobs []job) (map[string]*sim.Summary, error) {
+func runBatch(o Options, jobs []runspec.Named) (map[string]*sim.Summary, error) {
 	if o.FarmAddr != "" {
 		return runBatchFarm(o, jobs)
 	}
@@ -270,7 +462,7 @@ func runBatch(o Options, jobs []job) (map[string]*sim.Summary, error) {
 	}
 	rjobs := make([]runner.Job, len(jobs))
 	for i, j := range jobs {
-		rjobs[i] = runner.Job{Key: j.key, Spec: j.spec}
+		rjobs[i] = runner.Job{Key: j.Key, Spec: j.Spec}
 	}
 	ctx := o.Ctx
 	if ctx == nil {
@@ -286,13 +478,9 @@ func runBatch(o Options, jobs []job) (map[string]*sim.Summary, error) {
 // in-process runner. Specs travel by content hash, so the farm's corpus
 // serves previously computed runs without dispatch and results are
 // bit-identical to a local run of the same specs.
-func runBatchFarm(o Options, jobs []job) (map[string]*sim.Summary, error) {
+func runBatchFarm(o Options, jobs []runspec.Named) (map[string]*sim.Summary, error) {
 	if o.Obs.artifactsEnabled() {
 		return nil, fmt.Errorf("experiments: -metrics/-timeseries/-trace-events artifacts are produced by the simulating process and cannot be combined with a farm run")
-	}
-	named := make([]runspec.Named, len(jobs))
-	for i, j := range jobs {
-		named[i] = runspec.Named{Key: j.key, Spec: j.spec}
 	}
 	ctx := o.Ctx
 	if ctx == nil {
@@ -309,27 +497,5 @@ func runBatchFarm(o Options, jobs []job) (map[string]*sim.Summary, error) {
 	if o.Obs.OnRunDone != nil {
 		onDone = o.Obs.OnRunDone
 	}
-	return client.RunSweep(ctx, named, onDone)
-}
-
-// geoMeanOver computes the geometric mean of metric over the given
-// benchmark names, reading values from vals[name].
-func geoMeanOver(names []string, vals map[string]float64) float64 {
-	var vs []float64
-	for _, n := range names {
-		if v, ok := vals[n]; ok {
-			vs = append(vs, v)
-		}
-	}
-	return stats.GeoMean(vs)
-}
-
-// sortedKeys returns map keys in sorted order for deterministic printing.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return client.RunSweep(ctx, jobs, onDone)
 }

@@ -201,14 +201,20 @@ func TestPrintedOutputGoesToWriter(t *testing.T) {
 	}
 }
 
-func TestBenchListUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown benchmark should panic")
-		}
-	}()
-	o := Options{Benchmarks: []string{"nope"}}
-	o.benchList(nil)
+// TestUnknownBenchmarkIsError checks that an unknown benchmark name fails
+// while the job set is built: an error, before anything simulates or
+// prints, even for a run that starts with an artifact needing no runs.
+func TestUnknownBenchmarkIsError(t *testing.T) {
+	var buf bytes.Buffer
+	var st runner.Stats
+	o := Options{Benchmarks: []string{"nope"}, W: &buf, RunnerStats: &st}
+	_, err := Run(o, AllArtifacts...)
+	if err == nil || !strings.Contains(err.Error(), `unknown benchmark "nope"`) {
+		t.Fatalf("err = %v, want an unknown-benchmark error", err)
+	}
+	if buf.Len() != 0 || st.Jobs != 0 {
+		t.Fatalf("printed %q and ran %d jobs before failing", buf.String(), st.Jobs)
+	}
 }
 
 func TestAllBenchmarksComplete(t *testing.T) {
@@ -278,7 +284,7 @@ func TestInterruptedSweepResumes(t *testing.T) {
 		Scheme: "vault", Benchmark: "pr", Cores: 1, Channels: 1,
 		OpsPerCore: partial.ops(), Seed: partial.seed(), DenseAlloc: true,
 	}
-	if _, err := runBatch(partial, []job{{key: "seed", spec: small}}); err != nil {
+	if _, err := runBatch(partial, []runspec.Named{{Key: "seed", Spec: small}}); err != nil {
 		t.Fatal(err)
 	}
 	done := partialStats.Simulated
@@ -302,13 +308,6 @@ func TestInterruptedSweepResumes(t *testing.T) {
 	if refBuf.String() != resumedBuf.String() {
 		t.Errorf("resumed output differs from uninterrupted sweep:\nref:\n%s\nresumed:\n%s",
 			refBuf.String(), resumedBuf.String())
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	got := sortedKeys(map[string]int{"b": 1, "a": 2, "c": 3})
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("sortedKeys = %v", got)
 	}
 }
 

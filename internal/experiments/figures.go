@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/covert"
@@ -40,73 +42,68 @@ func (r *Fig8Result) Improvement(a, b string) float64 {
 	return r.Schemes[b].GeoTop15/r.Schemes[a].GeoTop15 - 1
 }
 
-// runNormalized runs the given schemes over benchmarks and returns times
-// normalized per benchmark to the non-secure baseline.
-func runNormalized(o Options, schemes []string, benchDefaults []string, cores, channels int) (*Fig8Result, error) {
-	if o.Cores > 0 {
-		cores = o.Cores
-	}
-	if o.Channels > 0 {
-		channels = o.Channels
-	}
-	specs := o.benchList(benchDefaults)
-	var jobs []job
-	all := append([]string{"nonsecure"}, schemes...)
-	for _, spec := range specs {
-		for _, s := range all {
-			jobs = append(jobs, job{
-				key: s + "/" + spec.Name,
-				spec: runspec.Spec{
-					Scheme: s, Benchmark: spec.Name, Cores: cores, Channels: channels,
-					OpsPerCore: o.ops(), Seed: o.seed(),
-				},
-			})
+// normJobs declares the non-secure baseline's and each scheme's run of
+// every benchmark on machine m, benchmark by benchmark.
+func normJobs(o Options, m machine, schemes, benches []string) []runspec.Named {
+	var jobs []runspec.Named
+	for _, b := range benches {
+		for _, s := range append([]string{"nonsecure"}, schemes...) {
+			jobs = append(jobs, runspec.Named{Key: m.key(s, b), Spec: runspec.Spec{
+				Scheme: s, Benchmark: b, Cores: m.cores, Channels: m.channels,
+				OpsPerCore: o.ops(), Seed: o.seed(),
+			}})
 		}
 	}
-	raw, err := runBatch(o, jobs)
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig8Result{Schemes: map[string]*SchemeResult{}, Raw: raw}
-	top15 := map[string]bool{}
-	for _, n := range workload.TopMemoryIntensive() {
-		top15[n] = true
-	}
-	for _, s := range all {
-		sr := &SchemeResult{Norm: map[string]float64{}}
-		var allV, topV []float64
-		for _, spec := range specs {
-			base := raw["nonsecure/"+spec.Name]
-			cur := raw[s+"/"+spec.Name]
-			if base == nil || cur == nil {
-				continue
-			}
-			v := float64(cur.Cycles) / float64(base.Cycles)
-			sr.Norm[spec.Name] = v
-			allV = append(allV, v)
-			if top15[spec.Name] {
-				topV = append(topV, v)
-			}
-		}
-		sr.GeoAll = stats.GeoMean(allV)
-		sr.GeoTop15 = stats.GeoMean(topV)
-		res.Schemes[s] = sr
-	}
-	return res, nil
+	return jobs
 }
 
-func printNormTable(o Options, title string, schemes []string, specs []workload.Spec, r *Fig8Result) {
-	w := o.writer()
+// normResult normalizes each scheme's execution time per benchmark to the
+// non-secure baseline on the same machine.
+func normResult(r runs, m machine, schemes, benches []string) *Fig8Result {
+	res := &Fig8Result{Schemes: map[string]*SchemeResult{}, Raw: map[string]*sim.Summary{}}
+	top15 := workload.TopMemoryIntensive()
+	for _, s := range append([]string{"nonsecure"}, schemes...) {
+		norm, all := r.norm(m, benches, "nonsecure", s, cycles)
+		var top []float64
+		for _, b := range benches {
+			res.Raw[s+"/"+b] = r[m.key(s, b)]
+			if slices.Contains(top15, b) {
+				top = append(top, norm[b])
+			}
+		}
+		res.Schemes[s] = &SchemeResult{Norm: norm, GeoAll: stats.GeoMean(all), GeoTop15: stats.GeoMean(top)}
+	}
+	return res
+}
+
+// normArtifact declares schemes against the baseline over benches on
+// machine def (or the Cores/Channels overrides) and prints the normalized
+// time table under title, then whatever tail adds.
+func normArtifact(o Options, title string, schemes, defaults []string, def machine, tail func(io.Writer, *Fig8Result)) artifact {
+	benches := o.benches(defaults)
+	m := o.machine(def)
+	return artifact{
+		jobs: normJobs(o, m, schemes, benches),
+		render: func(w io.Writer, r runs) (any, any, error) {
+			res := normResult(r, m, schemes, benches)
+			printNormTable(w, title, schemes, benches, res)
+			tail(w, res)
+			return res, res.Schemes, nil
+		},
+	}
+}
+
+func printNormTable(w io.Writer, title string, schemes, benches []string, r *Fig8Result) {
 	fmt.Fprintf(w, "%s\n", title)
 	fmt.Fprintf(w, "%-12s", "benchmark")
 	for _, s := range schemes {
 		fmt.Fprintf(w, " %15s", s)
 	}
 	fmt.Fprintln(w)
-	for _, spec := range specs {
-		fmt.Fprintf(w, "%-12s", spec.Name)
+	for _, b := range benches {
+		fmt.Fprintf(w, "%-12s", b)
 		for _, s := range schemes {
-			fmt.Fprintf(w, " %15.3f", r.Schemes[s].Norm[spec.Name])
+			fmt.Fprintf(w, " %15.3f", r.Schemes[s].Norm[b])
 		}
 		fmt.Fprintln(w)
 	}
@@ -125,18 +122,15 @@ func printNormTable(o Options, title string, schemes []string, specs []workload.
 // Fig8 reproduces Figure 8: execution time of the eight secure schemes over
 // all 31 benchmarks, normalized to the non-secure baseline (4 cores, 1
 // channel).
-func Fig8(o Options) (*Fig8Result, error) {
-	r, err := runNormalized(o, Fig8Schemes, allBenchmarks(), 4, 1)
-	if err != nil {
-		return nil, err
-	}
-	printNormTable(o, "Fig 8: normalized execution time (4 cores, 1 channel)",
-		Fig8Schemes, o.benchList(allBenchmarks()), r)
-	w := o.writer()
-	fmt.Fprintf(w, "\nISO improvement over Synergy (top-15): %+.1f%%\n", 100*r.Improvement("itsynergy", "synergy"))
-	fmt.Fprintf(w, "ITESP improvement over Synergy (top-15): %+.1f%%  (paper: +64%%)\n", 100*r.Improvement("itesp", "synergy"))
-	fmt.Fprintf(w, "ITESP improvement over ITSynergy (top-15): %+.1f%%  (paper: +19%%)\n", 100*r.Improvement("itesp", "itsynergy"))
-	return r, nil
+func Fig8(o Options) (*Fig8Result, error) { return runOne[*Fig8Result](o, "fig8") }
+
+func fig8Artifact(o Options) artifact {
+	return normArtifact(o, "Fig 8: normalized execution time (4 cores, 1 channel)",
+		Fig8Schemes, allBenchmarks(), paperMachine, func(w io.Writer, r *Fig8Result) {
+			fmt.Fprintf(w, "\nISO improvement over Synergy (top-15): %+.1f%%\n", 100*r.Improvement("itsynergy", "synergy"))
+			fmt.Fprintf(w, "ITESP improvement over Synergy (top-15): %+.1f%%  (paper: +64%%)\n", 100*r.Improvement("itesp", "synergy"))
+			fmt.Fprintf(w, "ITESP improvement over ITSynergy (top-15): %+.1f%%  (paper: +19%%)\n", 100*r.Improvement("itesp", "itsynergy"))
+		})
 }
 
 // Fig9Row is one scheme's traffic breakdown: memory accesses per data
@@ -152,59 +146,43 @@ type Fig9Row struct {
 
 // Fig9 reproduces Figure 9: the breakdown of data+metadata accesses per
 // read/write operation, averaged over the top-15 benchmarks.
-func Fig9(o Options) ([]Fig9Row, error) {
-	schemes := Fig8Schemes
-	r, err := runNormalized(o, schemes, workload.TopMemoryIntensive(), 4, 1)
-	if err != nil {
-		return nil, err
-	}
-	specs := o.benchList(workload.TopMemoryIntensive())
-	var rows []Fig9Row
-	w := o.writer()
-	fmt.Fprintln(w, "Fig 9: accesses per data operation (avg over top-15)")
-	fmt.Fprintf(w, "%-16s %6s %6s %6s %6s %6s %6s %6s %6s %6s\n",
-		"scheme", "mac.r", "mac.w", "ctr.r", "ctr.w", "tree.r", "tree.w", "par.r", "par.w", "total")
-	for _, s := range schemes {
-		var row Fig9Row
-		row.Scheme = s
-		var n float64
-		for _, spec := range specs {
-			res := r.Raw[s+"/"+spec.Name]
-			if res == nil {
-				continue
+func Fig9(o Options) ([]Fig9Row, error) { return runOne[[]Fig9Row](o, "fig9") }
+
+// fig9Artifact reads Fig 8's top-15 runs.
+func fig9Artifact(o Options) artifact {
+	benches := o.benches(workload.TopMemoryIntensive())
+	m := o.machine(paperMachine)
+	render := func(w io.Writer, r runs) (any, any, error) {
+		var rows []Fig9Row
+		fmt.Fprintln(w, "Fig 9: accesses per data operation (avg over top-15)")
+		fmt.Fprintf(w, "%-16s %6s %6s %6s %6s %6s %6s %6s %6s %6s\n",
+			"scheme", "mac.r", "mac.w", "ctr.r", "ctr.w", "tree.r", "tree.w", "par.r", "par.w", "total")
+		for _, s := range Fig8Schemes {
+			// Reads and writes per op of MACs, counters, tree nodes and
+			// parity, averaged over the benchmarks.
+			var per [8]float64
+			for _, b := range benches {
+				for k, kind := range []mem.Kind{mem.KindMAC, mem.KindCounter, mem.KindTree, mem.KindParity} {
+					rd, wr := r[m.key(s, b)].KindPerOp(kind)
+					per[2*k] += rd
+					per[2*k+1] += wr
+				}
 			}
-			mr, mw := res.KindPerOp(mem.KindMAC)
-			cr, cw := res.KindPerOp(mem.KindCounter)
-			tr, tw := res.KindPerOp(mem.KindTree)
-			pr, pw := res.KindPerOp(mem.KindParity)
-			row.MACReads += mr
-			row.MACWrites += mw
-			row.CtrReads += cr
-			row.CtrWrites += cw
-			row.TreeReads += tr
-			row.TreeWrites += tw
-			row.ParityReads += pr
-			row.ParityWrite += pw
-			n++
+			row := Fig9Row{Scheme: s, Total: 1}
+			for i := range per {
+				per[i] /= float64(max(len(benches), 1)) // zeros without benchmarks
+				row.Total += per[i]
+			}
+			row.MACReads, row.MACWrites, row.CtrReads, row.CtrWrites = per[0], per[1], per[2], per[3]
+			row.TreeReads, row.TreeWrites, row.ParityReads, row.ParityWrite = per[4], per[5], per[6], per[7]
+			rows = append(rows, row)
+			fmt.Fprintf(w, "%-16s %6.2f %6.2f %6.2f %6.2f %6.2f %6.2f %6.2f %6.2f %6.2f\n",
+				s, row.MACReads, row.MACWrites, row.CtrReads, row.CtrWrites,
+				row.TreeReads, row.TreeWrites, row.ParityReads, row.ParityWrite, row.Total)
 		}
-		if n > 0 {
-			row.MACReads /= n
-			row.MACWrites /= n
-			row.CtrReads /= n
-			row.CtrWrites /= n
-			row.TreeReads /= n
-			row.TreeWrites /= n
-			row.ParityReads /= n
-			row.ParityWrite /= n
-		}
-		row.Total = 1 + row.MACReads + row.MACWrites + row.CtrReads + row.CtrWrites +
-			row.TreeReads + row.TreeWrites + row.ParityReads + row.ParityWrite
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%-16s %6.2f %6.2f %6.2f %6.2f %6.2f %6.2f %6.2f %6.2f %6.2f\n",
-			s, row.MACReads, row.MACWrites, row.CtrReads, row.CtrWrites,
-			row.TreeReads, row.TreeWrites, row.ParityReads, row.ParityWrite, row.Total)
+		return rows, rows, nil
 	}
-	return rows, nil
+	return artifact{jobs: normJobs(o, m, Fig8Schemes, benches), render: render}
 }
 
 // Fig10Result holds normalized memory energy and system EDP per scheme.
@@ -215,40 +193,26 @@ type Fig10Result struct {
 
 // Fig10 reproduces Figure 10: normalized memory energy and system EDP for
 // the Figure 8 models (top-15 benchmarks).
-func Fig10(o Options) (*Fig10Result, error) {
-	r, err := runNormalized(o, Fig8Schemes, workload.TopMemoryIntensive(), 4, 1)
-	if err != nil {
-		return nil, err
-	}
-	specs := o.benchList(workload.TopMemoryIntensive())
-	out := &Fig10Result{Energy: map[string]*SchemeResult{}, EDP: map[string]*SchemeResult{}}
-	w := o.writer()
-	fmt.Fprintln(w, "Fig 10: normalized memory energy / system EDP (top-15 geomean)")
-	fmt.Fprintf(w, "%-16s %10s %10s\n", "scheme", "energy", "edp")
-	for _, s := range append([]string{"nonsecure"}, Fig8Schemes...) {
-		en := &SchemeResult{Norm: map[string]float64{}}
-		ed := &SchemeResult{Norm: map[string]float64{}}
-		var evs, dvs []float64
-		for _, spec := range specs {
-			base := r.Raw["nonsecure/"+spec.Name]
-			cur := r.Raw[s+"/"+spec.Name]
-			if base == nil || cur == nil {
-				continue
-			}
-			ev := cur.MemoryJoules / base.MemoryJoules
-			dv := cur.SystemEDP / base.SystemEDP
-			en.Norm[spec.Name] = ev
-			ed.Norm[spec.Name] = dv
-			evs = append(evs, ev)
-			dvs = append(dvs, dv)
+func Fig10(o Options) (*Fig10Result, error) { return runOne[*Fig10Result](o, "fig10") }
+
+// fig10Artifact reads Fig 8's top-15 runs.
+func fig10Artifact(o Options) artifact {
+	benches := o.benches(workload.TopMemoryIntensive())
+	m := o.machine(paperMachine)
+	render := func(w io.Writer, r runs) (any, any, error) {
+		out := &Fig10Result{Energy: map[string]*SchemeResult{}, EDP: map[string]*SchemeResult{}}
+		fmt.Fprintln(w, "Fig 10: normalized memory energy / system EDP (top-15 geomean)")
+		fmt.Fprintf(w, "%-16s %10s %10s\n", "scheme", "energy", "edp")
+		for _, s := range append([]string{"nonsecure"}, Fig8Schemes...) {
+			en, evs := r.norm(m, benches, "nonsecure", s, joules)
+			ed, dvs := r.norm(m, benches, "nonsecure", s, edp)
+			out.Energy[s] = &SchemeResult{Norm: en, GeoTop15: stats.GeoMean(evs)}
+			out.EDP[s] = &SchemeResult{Norm: ed, GeoTop15: stats.GeoMean(dvs)}
+			fmt.Fprintf(w, "%-16s %10.3f %10.3f\n", s, out.Energy[s].GeoTop15, out.EDP[s].GeoTop15)
 		}
-		en.GeoTop15 = stats.GeoMean(evs)
-		ed.GeoTop15 = stats.GeoMean(dvs)
-		out.Energy[s] = en
-		out.EDP[s] = ed
-		fmt.Fprintf(w, "%-16s %10.3f %10.3f\n", s, en.GeoTop15, ed.GeoTop15)
+		return out, out, nil
 	}
-	return out, nil
+	return artifact{jobs: normJobs(o, m, Fig8Schemes, benches), render: render}
 }
 
 // Fig11Schemes are the Morphable-Counter configurations of Figure 11,
@@ -258,19 +222,16 @@ var Fig11Schemes = core.NamesTagged("fig11")
 // Fig11 reproduces Figure 11: execution time (including local-counter
 // overflow penalties) for Synergy and the Morphable-Counter family on an
 // 8-core, 2-channel system.
-func Fig11(o Options) (*Fig8Result, error) {
-	r, err := runNormalized(o, Fig11Schemes, workload.TopMemoryIntensive(), 8, 2)
-	if err != nil {
-		return nil, err
-	}
-	printNormTable(o, "Fig 11: normalized execution time with Morphable Counters (8 cores, 2 channels)",
-		Fig11Schemes, o.benchList(workload.TopMemoryIntensive()), r)
-	w := o.writer()
-	fmt.Fprintf(w, "\nITESP64 improvement over SYN128 (top-15): %+.1f%%  (paper: +27%%)\n",
-		100*r.Improvement("itesp64", "syn128"))
-	fmt.Fprintf(w, "ITESP64 improvement over ITESP128 (top-15): %+.1f%%  (paper: +1.4%%)\n",
-		100*r.Improvement("itesp64", "itesp128"))
-	return r, nil
+func Fig11(o Options) (*Fig8Result, error) { return runOne[*Fig8Result](o, "fig11") }
+
+func fig11Artifact(o Options) artifact {
+	return normArtifact(o, "Fig 11: normalized execution time with Morphable Counters (8 cores, 2 channels)",
+		Fig11Schemes, workload.TopMemoryIntensive(), machine{8, 2}, func(w io.Writer, r *Fig8Result) {
+			fmt.Fprintf(w, "\nITESP64 improvement over SYN128 (top-15): %+.1f%%  (paper: +27%%)\n",
+				100*r.Improvement("itesp64", "syn128"))
+			fmt.Fprintf(w, "ITESP64 improvement over ITESP128 (top-15): %+.1f%%  (paper: +1.4%%)\n",
+				100*r.Improvement("itesp64", "itesp128"))
+		})
 }
 
 // Fig12Row summarizes one (scheme, core-count) configuration.
@@ -286,37 +247,35 @@ type Fig12Row struct {
 // Fig12 reproduces Figure 12: execution time, memory energy, and system EDP
 // for Synergy and ITESP at 4 cores / 1 channel and 8 cores / 2 channels,
 // normalized to the matching non-secure baseline (top-15 geomean).
-func Fig12(o Options) ([]Fig12Row, error) {
-	var rows []Fig12Row
-	w := o.writer()
-	fmt.Fprintln(w, "Fig 12: core-count sensitivity (top-15 geomean)")
-	fmt.Fprintf(w, "%-10s %6s %9s %10s %10s %10s\n", "scheme", "cores", "channels", "time", "energy", "edp")
-	for _, cc := range []struct{ cores, chans int }{{4, 1}, {8, 2}} {
-		r, err := runNormalized(o, []string{"synergy", "itesp"}, workload.TopMemoryIntensive(), cc.cores, cc.chans)
-		if err != nil {
-			return nil, err
-		}
-		specs := o.benchList(workload.TopMemoryIntensive())
-		for _, s := range []string{"synergy", "itesp"} {
-			var tv, ev, dv []float64
-			for _, spec := range specs {
-				base := r.Raw["nonsecure/"+spec.Name]
-				cur := r.Raw[s+"/"+spec.Name]
-				if base == nil || cur == nil {
-					continue
-				}
-				tv = append(tv, float64(cur.Cycles)/float64(base.Cycles))
-				ev = append(ev, cur.MemoryJoules/base.MemoryJoules)
-				dv = append(dv, cur.SystemEDP/base.SystemEDP)
-			}
-			row := Fig12Row{Scheme: s, Cores: cc.cores, Channels: cc.chans,
-				NormTime: stats.GeoMean(tv), NormEnergy: stats.GeoMean(ev), NormEDP: stats.GeoMean(dv)}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "%-10s %6d %9d %10.3f %10.3f %10.3f\n",
-				s, cc.cores, cc.chans, row.NormTime, row.NormEnergy, row.NormEDP)
-		}
+func Fig12(o Options) ([]Fig12Row, error) { return runOne[[]Fig12Row](o, "fig12") }
+
+func fig12Artifact(o Options) artifact {
+	benches := o.benches(workload.TopMemoryIntensive())
+	schemes := []string{"synergy", "itesp"}
+	systems := []machine{{4, 1}, {8, 2}}
+	var jobs []runspec.Named
+	for _, sys := range systems {
+		jobs = append(jobs, normJobs(o, o.machine(sys), schemes, benches)...)
 	}
-	return rows, nil
+	render := func(w io.Writer, r runs) (any, any, error) {
+		var rows []Fig12Row
+		fmt.Fprintln(w, "Fig 12: core-count sensitivity (top-15 geomean)")
+		fmt.Fprintf(w, "%-10s %6s %9s %10s %10s %10s\n", "scheme", "cores", "channels", "time", "energy", "edp")
+		for _, sys := range systems {
+			m := o.machine(sys)
+			for _, s := range schemes {
+				row := Fig12Row{Scheme: s, Cores: sys.cores, Channels: sys.channels,
+					NormTime:   r.geo(m, benches, "nonsecure", s, cycles),
+					NormEnergy: r.geo(m, benches, "nonsecure", s, joules),
+					NormEDP:    r.geo(m, benches, "nonsecure", s, edp)}
+				rows = append(rows, row)
+				fmt.Fprintf(w, "%-10s %6d %9d %10.3f %10.3f %10.3f\n",
+					s, sys.cores, sys.channels, row.NormTime, row.NormEnergy, row.NormEDP)
+			}
+		}
+		return rows, rows, nil
+	}
+	return artifact{jobs: jobs, render: render}
 }
 
 // Fig13Row summarizes one (scheme, cache-size) configuration.
@@ -330,48 +289,42 @@ type Fig13Row struct {
 
 // Fig13 reproduces Figure 13: sensitivity to the per-core metadata cache
 // budget (16, 32, 64 KB per core; top-15 geomean, 4 cores / 1 channel).
-func Fig13(o Options) ([]Fig13Row, error) {
-	var rows []Fig13Row
-	w := o.writer()
-	fmt.Fprintln(w, "Fig 13: metadata cache size sensitivity (top-15 geomean)")
-	fmt.Fprintf(w, "%-10s %8s %10s %10s %10s\n", "scheme", "KB/core", "time", "energy", "edp")
-	specs := o.benchList(workload.TopMemoryIntensive())
-	for _, kb := range []int{16, 32, 64} {
-		var jobs []job
-		for _, spec := range specs {
+func Fig13(o Options) ([]Fig13Row, error) { return runOne[[]Fig13Row](o, "fig13") }
+
+func fig13Artifact(o Options) artifact {
+	benches := o.benches(workload.TopMemoryIntensive())
+	sizes := []int{16, 32, 64}
+	// config names a scheme's run at one cache budget.
+	config := func(s string, kb int) string { return fmt.Sprintf("%s/%dKB", s, kb) }
+	var jobs []runspec.Named
+	for _, kb := range sizes {
+		for _, b := range benches {
 			for _, s := range []string{"nonsecure", "synergy", "itesp"} {
-				jobs = append(jobs, job{
-					key: s + "/" + spec.Name,
-					spec: runspec.Spec{
-						Scheme: s, Benchmark: spec.Name, Cores: 4, Channels: 1,
-						OpsPerCore: o.ops(), Seed: o.seed(), MetaKBPerCore: kb,
-					},
-				})
+				jobs = append(jobs, runspec.Named{Key: paperMachine.key(config(s, kb), b), Spec: runspec.Spec{
+					Scheme: s, Benchmark: b, Cores: 4, Channels: 1,
+					OpsPerCore: o.ops(), Seed: o.seed(), MetaKBPerCore: kb,
+				}})
 			}
-		}
-		raw, err := runBatch(o, jobs)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range []string{"synergy", "itesp"} {
-			var tv, ev, dv []float64
-			for _, spec := range specs {
-				base := raw["nonsecure/"+spec.Name]
-				cur := raw[s+"/"+spec.Name]
-				if base == nil || cur == nil {
-					continue
-				}
-				tv = append(tv, float64(cur.Cycles)/float64(base.Cycles))
-				ev = append(ev, cur.MemoryJoules/base.MemoryJoules)
-				dv = append(dv, cur.SystemEDP/base.SystemEDP)
-			}
-			row := Fig13Row{Scheme: s, MetaKBCore: kb,
-				NormTime: stats.GeoMean(tv), NormEnergy: stats.GeoMean(ev), NormEDP: stats.GeoMean(dv)}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "%-10s %8d %10.3f %10.3f %10.3f\n", s, kb, row.NormTime, row.NormEnergy, row.NormEDP)
 		}
 	}
-	return rows, nil
+	render := func(w io.Writer, r runs) (any, any, error) {
+		var rows []Fig13Row
+		fmt.Fprintln(w, "Fig 13: metadata cache size sensitivity (top-15 geomean)")
+		fmt.Fprintf(w, "%-10s %8s %10s %10s %10s\n", "scheme", "KB/core", "time", "energy", "edp")
+		for _, kb := range sizes {
+			for _, s := range []string{"synergy", "itesp"} {
+				base, cur := config("nonsecure", kb), config(s, kb)
+				row := Fig13Row{Scheme: s, MetaKBCore: kb,
+					NormTime:   r.geo(paperMachine, benches, base, cur, cycles),
+					NormEnergy: r.geo(paperMachine, benches, base, cur, joules),
+					NormEDP:    r.geo(paperMachine, benches, base, cur, edp)}
+				rows = append(rows, row)
+				fmt.Fprintf(w, "%-10s %8d %10.3f %10.3f %10.3f\n", s, kb, row.NormTime, row.NormEnergy, row.NormEDP)
+			}
+		}
+		return rows, rows, nil
+	}
+	return artifact{jobs: jobs, render: render}
 }
 
 // Fig15Row summarizes ITESP under one address-mapping policy.
@@ -388,73 +341,77 @@ type Fig15Row struct {
 // policies on ITESP performance, metadata cache miss rate, and row-buffer
 // hit rate (4 cores, 1 channel, top-15). The ITESP variant with four
 // parities per leaf (Section III-E) is used, as in the paper's discussion.
-func Fig15(o Options) ([]Fig15Row, error) {
-	specs := o.benchList(workload.TopMemoryIntensive())
-	var jobs []job
-	for _, spec := range specs {
-		jobs = append(jobs, job{key: "synergy/" + spec.Name, spec: runspec.Spec{
-			Scheme: "synergy", Benchmark: spec.Name, Cores: 4, Channels: 1,
+func Fig15(o Options) ([]Fig15Row, error) { return runOne[[]Fig15Row](o, "fig15") }
+
+func fig15Artifact(o Options) artifact {
+	benches := o.benches(workload.TopMemoryIntensive())
+	policies := []string{"column", "rank", "rbh2", "rbh4"}
+	var jobs []runspec.Named
+	for _, b := range benches {
+		jobs = append(jobs, runspec.Named{Key: paperMachine.key("synergy/column", b), Spec: runspec.Spec{
+			Scheme: "synergy", Benchmark: b, Cores: 4, Channels: 1,
 			OpsPerCore: o.ops(), Seed: o.seed(), Policy: "column",
 		}})
-		for _, pol := range []string{"column", "rank", "rbh2", "rbh4"} {
-			jobs = append(jobs, job{key: pol + "/" + spec.Name, spec: runspec.Spec{
-				Scheme: "itesp4p", Benchmark: spec.Name, Cores: 4, Channels: 1,
+		for _, pol := range policies {
+			jobs = append(jobs, runspec.Named{Key: paperMachine.key("itesp4p/"+pol, b), Spec: runspec.Spec{
+				Scheme: "itesp4p", Benchmark: b, Cores: 4, Channels: 1,
 				OpsPerCore: o.ops(), Seed: o.seed(), Policy: pol,
 			}})
 		}
 	}
-	raw, err := runBatch(o, jobs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig15Row
-	w := o.writer()
-	fmt.Fprintln(w, "Fig 15: ITESP address-mapping policies (top-15)")
-	fmt.Fprintf(w, "%-8s %14s %14s %12s\n", "policy", "perf-vs-syn%", "metaMissRate", "rowHitRate")
-	for _, pol := range []string{"column", "rank", "rbh2", "rbh4"} {
-		var perf, miss, rbh []float64
-		for _, spec := range specs {
-			syn := raw["synergy/"+spec.Name]
-			cur := raw[pol+"/"+spec.Name]
-			if syn == nil || cur == nil {
-				continue
+	render := func(w io.Writer, r runs) (any, any, error) {
+		var rows []Fig15Row
+		fmt.Fprintln(w, "Fig 15: ITESP address-mapping policies (top-15)")
+		fmt.Fprintf(w, "%-8s %14s %14s %12s\n", "policy", "perf-vs-syn%", "metaMissRate", "rowHitRate")
+		for _, pol := range policies {
+			var miss, rbh []float64
+			for _, b := range benches {
+				cur := r[paperMachine.key("itesp4p/"+pol, b)]
+				miss = append(miss, 1-cur.MetaCacheHitRate)
+				rbh = append(rbh, cur.RowHitRate)
 			}
-			perf = append(perf, float64(syn.Cycles)/float64(cur.Cycles))
-			miss = append(miss, 1-cur.MetaCacheHitRate)
-			rbh = append(rbh, cur.RowHitRate)
+			// Performance is inverse time: Synergy's cycles over ITESP's.
+			perf := r.geo(paperMachine, benches, "itesp4p/"+pol, "synergy/column", cycles)
+			row := Fig15Row{Policy: pol,
+				ImprovementPct: 100 * (perf - 1),
+				MetaMissRate:   stats.ArithMean(miss),
+				RowHitRate:     stats.ArithMean(rbh)}
+			rows = append(rows, row)
+			fmt.Fprintf(w, "%-8s %14.1f %14.3f %12.3f\n", row.Policy, row.ImprovementPct, row.MetaMissRate, row.RowHitRate)
 		}
-		row := Fig15Row{Policy: pol,
-			ImprovementPct: 100 * (stats.GeoMean(perf) - 1),
-			MetaMissRate:   stats.ArithMean(miss),
-			RowHitRate:     stats.ArithMean(rbh)}
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%-8s %14.1f %14.3f %12.3f\n", row.Policy, row.ImprovementPct, row.MetaMissRate, row.RowHitRate)
+		return rows, rows, nil
 	}
-	return rows, nil
+	return artifact{jobs: jobs, render: render}
 }
 
 // Fig5 reproduces Figure 5: the covert channel on interleaved (A) vs
 // isolated (B) enclave pages.
 func Fig5(o Options) (interleaved, isolated []covert.Point) {
-	w := o.writer()
-	for _, iso := range []bool{false, true} {
-		cfg := covert.DefaultConfig(iso)
-		cfg.Seed = o.seed()
-		pts := covert.Run(cfg)
-		label := "A: interleaved (shared tree)"
-		if iso {
-			label = "B: isolated trees"
-			isolated = pts
-		} else {
-			interleaved = pts
+	r, _ := runOne[map[string][]covert.Point](o, "fig5") // no runs, so it cannot fail
+	return r["interleaved"], r["isolated"]
+}
+
+func fig5Artifact(o Options) artifact {
+	render := func(w io.Writer, _ runs) (any, any, error) {
+		res := map[string][]covert.Point{}
+		for _, iso := range []bool{false, true} {
+			cfg := covert.DefaultConfig(iso)
+			cfg.Seed = o.seed()
+			pts := covert.Run(cfg)
+			label, name := "A: interleaved (shared tree)", "interleaved"
+			if iso {
+				label, name = "B: isolated trees", "isolated"
+			}
+			res[name] = pts
+			fmt.Fprintf(w, "Fig 5%s\n", label)
+			fmt.Fprintf(w, "%8s %12s %12s %12s %12s %8s %12s\n",
+				"blocks", "lat0.min", "lat0.max", "lat1.min", "lat1.max", "chan?", "bps")
+			for _, p := range pts {
+				fmt.Fprintf(w, "%8d %12.0f %12.0f %12.0f %12.0f %8v %12.0f\n",
+					p.Blocks, p.Lat0Min, p.Lat0Max, p.Lat1Min, p.Lat1Max, p.Distinguishable, p.BandwidthBps)
+			}
 		}
-		fmt.Fprintf(w, "Fig 5%s\n", label)
-		fmt.Fprintf(w, "%8s %12s %12s %12s %12s %8s %12s\n",
-			"blocks", "lat0.min", "lat0.max", "lat1.min", "lat1.max", "chan?", "bps")
-		for _, p := range pts {
-			fmt.Fprintf(w, "%8d %12.0f %12.0f %12.0f %12.0f %8v %12.0f\n",
-				p.Blocks, p.Lat0Min, p.Lat0Max, p.Lat1Min, p.Lat1Max, p.Distinguishable, p.BandwidthBps)
-		}
+		return res, res, nil
 	}
-	return interleaved, isolated
+	return artifact{render: render}
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -13,26 +15,17 @@ import (
 // is whatever the registry holds, which is the ROADMAP's "every figure
 // becomes an N-scheme comparison for free" unlock. Defaults to the top-15
 // memory-intensive benchmarks at the paper's 4-core / 1-channel system.
-func SweepSchemes(o Options) (*Fig8Result, error) {
-	var schemes []string
-	for _, name := range core.SchemeNames() {
-		if name == "nonsecure" {
-			continue // runNormalized adds the baseline itself
+func SweepSchemes(o Options) (*Fig8Result, error) { return runOne[*Fig8Result](o, "scheme_sweep") }
+
+func sweepArtifact(o Options) artifact {
+	// normJobs adds the non-secure baseline itself.
+	schemes := slices.DeleteFunc(core.SchemeNames(), func(name string) bool { return name == "nonsecure" })
+	title := fmt.Sprintf("Scheme sweep: normalized execution time, all %d registered backends", len(schemes))
+	return normArtifact(o, title, schemes, workload.TopMemoryIntensive(), paperMachine, func(w io.Writer, _ *Fig8Result) {
+		descs := core.Descriptions()
+		fmt.Fprintln(w)
+		for _, s := range schemes {
+			fmt.Fprintf(w, "%-16s %s\n", s, descs[s])
 		}
-		schemes = append(schemes, name)
-	}
-	r, err := runNormalized(o, schemes, workload.TopMemoryIntensive(), 4, 1)
-	if err != nil {
-		return nil, err
-	}
-	specs := o.benchList(workload.TopMemoryIntensive())
-	printNormTable(o, fmt.Sprintf("Scheme sweep: normalized execution time, all %d registered backends", len(schemes)),
-		schemes, specs, r)
-	w := o.writer()
-	descs := core.Descriptions()
-	fmt.Fprintln(w)
-	for _, s := range schemes {
-		fmt.Fprintf(w, "%-16s %s\n", s, descs[s])
-	}
-	return r, nil
+	})
 }

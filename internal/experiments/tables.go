@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/integrity"
 	"repro/internal/mem"
@@ -23,6 +24,13 @@ type Table1Row struct {
 // per block, doubled for x16 chips whose chipkill needs wider parity; ITESP
 // embeds everything in the tree).
 func Table1(o Options) []Table1Row {
+	rows, _ := runOne[[]Table1Row](o, "table1") // no runs, so it cannot fail
+	return rows
+}
+
+func table1Artifact(Options) artifact { return artifact{render: renderTable1} }
+
+func renderTable1(w io.Writer, _ runs) (any, any, error) {
 	dataBlocks := uint64(1) << 30 // 64 GB of 64-byte blocks
 	pct := func(g integrity.Geometry) float64 {
 		return 100 * integrity.NewTree(g, dataBlocks, 0).StorageOverhead(dataBlocks)
@@ -35,7 +43,6 @@ func Table1(o Options) []Table1Row {
 		{"ITESP64", pct(integrity.ITESP64()), 0, 0},
 		{"ITESP128", pct(integrity.ITESP128()), 0, 0},
 	}
-	w := o.writer()
 	fmt.Fprintln(w, "Table I: metadata memory capacity overheads")
 	fmt.Fprintf(w, "%-24s %10s %12s %8s\n", "organization", "tree%", "mac/parity%", "total%")
 	for i := range rows {
@@ -43,7 +50,7 @@ func Table1(o Options) []Table1Row {
 		fmt.Fprintf(w, "%-24s %10.1f %12.1f %8.1f\n",
 			rows[i].Organization, rows[i].TreePct, rows[i].MACParityPct, rows[i].TotalPct)
 	}
-	return rows
+	return rows, rows, nil
 }
 
 // Table2Result holds the analytic reliability rates and the Monte-Carlo
@@ -60,18 +67,26 @@ type Table2Result struct {
 // (single-chip errors corrected; concurrent multi-chip errors become DUEs;
 // a concurrent sibling error defeats shared-parity correction).
 func Table2(o Options) Table2Result {
+	res, _ := runOne[Table2Result](o, "table2") // no runs, so it cannot fail
+	return res
+}
+
+func table2Artifact(o Options) artifact {
+	return artifact{render: func(w io.Writer, _ runs) (any, any, error) { return renderTable2(w, o.seed()) }}
+}
+
+func renderTable2(w io.Writer, seed int64) (any, any, error) {
 	p := reliability.DefaultParams()
 	res := Table2Result{
 		Synergy: reliability.Synergy(p),
 		ITESP:   reliability.ITESP(p),
 	}
 	const trials = 300
-	res.SingleChip = reliability.Inject(reliability.SingleChip, 16, trials, o.seed())
-	res.SingleBit = reliability.Inject(reliability.SingleBit, 16, trials, o.seed()+1)
-	res.TwoChips = reliability.Inject(reliability.TwoChipsSameBlock, 16, trials, o.seed()+2)
-	res.ChipPlusSibling = reliability.Inject(reliability.ChipPlusSibling, 16, trials, o.seed()+3)
+	res.SingleChip = reliability.Inject(reliability.SingleChip, 16, trials, seed)
+	res.SingleBit = reliability.Inject(reliability.SingleBit, 16, trials, seed+1)
+	res.TwoChips = reliability.Inject(reliability.TwoChipsSameBlock, 16, trials, seed+2)
+	res.ChipPlusSibling = reliability.Inject(reliability.ChipPlusSibling, 16, trials, seed+3)
 
-	w := o.writer()
 	fmt.Fprintln(w, "Table II: SDC/DUE rates per billion hours (analytic)")
 	fmt.Fprintf(w, "%-28s %12s %12s\n", "case", "Synergy", "ITESP")
 	fmt.Fprintf(w, "%-28s %12.1e %12.1e\n", "Case 1: SDC (detection)", res.Synergy.SDCDetection, res.ITESP.SDCDetection)
@@ -87,5 +102,5 @@ func Table2(o Options) Table2Result {
 	report("single bit", res.SingleBit)
 	report("two chips", res.TwoChips)
 	report("chip+sibling", res.ChipPlusSibling)
-	return res
+	return res, res, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/fault"
@@ -60,11 +61,12 @@ type Table2TimingResult struct {
 // processes (see EXPERIMENTS.md), so the validated claim is the relative
 // ordering and its rough scale, not absolute DUE rates.
 func Table2Timing(o Options) (*Table2TimingResult, error) {
-	bench := o.benchList([]string{"mcf"})[0]
-	cores := o.Cores
-	if cores == 0 {
-		cores = 2
-	}
+	return runOne[*Table2TimingResult](o, "table2_timing")
+}
+
+func table2TimingArtifact(o Options) artifact {
+	bench := o.benches([]string{"mcf"})[0]
+	cores := o.cores(2)
 	// Campaign knobs scale with run length so every injection fires and at
 	// least one full scrub sweep completes before the trace drains. The
 	// cycle estimate is a conservative lower bound (mcf is memory-bound, so
@@ -77,7 +79,7 @@ func Table2Timing(o Options) (*Table2TimingResult, error) {
 		scrub = 2
 	}
 
-	var jobs []job
+	var jobs []runspec.Named
 	for _, scheme := range []string{"synergy", "itesp"} {
 		for i := 0; i < t2Seeds; i++ {
 			fc := fault.Config{
@@ -86,11 +88,11 @@ func Table2Timing(o Options) (*Table2TimingResult, error) {
 				StartCycle: start, Interval: interval,
 				SpanBlocks: t2Span, ScrubInterval: scrub,
 			}
-			jobs = append(jobs, job{
-				key: fmt.Sprintf("t2timing/%s/seed%d", scheme, i),
-				spec: runspec.Spec{
+			jobs = append(jobs, runspec.Named{
+				Key: fmt.Sprintf("t2timing/%s/seed%d", scheme, i),
+				Spec: runspec.Spec{
 					Scheme:     scheme,
-					Benchmark:  bench.Name,
+					Benchmark:  bench,
 					Cores:      cores,
 					Channels:   o.Channels,
 					OpsPerCore: o.ops(),
@@ -100,16 +102,18 @@ func Table2Timing(o Options) (*Table2TimingResult, error) {
 			})
 		}
 	}
-	results, err := runBatch(o, jobs)
-	if err != nil {
-		return nil, err
-	}
+	render := func(w io.Writer, r runs) (any, any, error) { return renderTable2Timing(w, r, scrub) }
+	return artifact{jobs: jobs, render: render}
+}
 
+// renderTable2Timing aggregates each scheme's campaigns over all seeds and
+// prints the comparison.
+func renderTable2Timing(w io.Writer, r runs, scrub uint64) (any, any, error) {
 	aggregate := func(scheme string) (Table2TimingRow, error) {
 		row := Table2TimingRow{Scheme: scheme}
 		var detSum, repSum float64
 		for i := 0; i < t2Seeds; i++ {
-			s := results[fmt.Sprintf("t2timing/%s/seed%d", scheme, i)]
+			s := r[fmt.Sprintf("t2timing/%s/seed%d", scheme, i)]
 			if s == nil || s.Faults == nil {
 				return row, fmt.Errorf("table2timing: %s seed %d has no fault summary", scheme, i)
 			}
@@ -139,11 +143,12 @@ func Table2Timing(o Options) (*Table2TimingResult, error) {
 		return row, nil
 	}
 	res := &Table2TimingResult{}
+	var err error
 	if res.Synergy, err = aggregate("synergy"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if res.ITESP, err = aggregate("itesp"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.MeasuredDUERatio = math.Inf(1)
 	if res.Synergy.DUE > 0 {
@@ -153,7 +158,6 @@ func Table2Timing(o Options) (*Table2TimingResult, error) {
 	res.AnalyticDUERatio = reliability.ITESP(p).DUEMultiChip / reliability.Synergy(p).DUEMultiChip
 	res.OrderingOK = res.ITESP.DUE > res.Synergy.DUE
 
-	w := o.writer()
 	fmt.Fprintf(w, "Table II (timing domain): %d seeds x %d chip faults over %d blocks, scrub every %d cycles\n",
 		t2Seeds, t2Faults, t2Span, scrub)
 	fmt.Fprintf(w, "%-10s %9s %9s %10s %6s %5s %7s %12s %12s\n",
@@ -173,5 +177,5 @@ func Table2Timing(o Options) (*Table2TimingResult, error) {
 		ok = "FAILED"
 	}
 	fmt.Fprintf(w, "relative ordering (ITESP shared parity > Synergy per-rank): %s\n", ok)
-	return res, nil
+	return res, res, nil
 }

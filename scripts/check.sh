@@ -5,6 +5,14 @@
 # the internal/obs layer that snapshots them, the internal/runner worker
 # pool, and the internal/farm coordinator), then the full suite.
 #
+# The staleness gate then regenerates the checked-in results with the
+# commands DESIGN.md names for them ("Checked-in result artifacts") and
+# fails on any difference: results_full.txt is `experiments -all -ops
+# 15000` and results_ablations.txt is `experiments -ablations -ops 15000
+# -bench pr,mcf,lbm,cc,bwaves`, both run here on every CPU (parallelism
+# never changes the output). A change that moves the numbers on purpose
+# regenerates the files with the same commands.
+#
 # The DRAM scheduler's differential fuzz target then runs for 30 s: it
 # checks the memoized FR-FCFS scheduler against the memo-free reference in
 # internal/dram/reference_test.go on fuzzed traffic. The core's fuzz target
@@ -31,6 +39,9 @@ go vet ./...
 go build ./...
 go test -race ./internal/stats/... ./internal/obs/... ./internal/runner/... ./internal/farm/...
 go test ./...
+ncpu=$(getconf _NPROCESSORS_ONLN)
+go run ./cmd/experiments -all -ops 15000 -parallel "$ncpu" | diff -u results_full.txt -
+go run ./cmd/experiments -ablations -ops 15000 -bench pr,mcf,lbm,cc,bwaves -parallel "$ncpu" | diff -u results_ablations.txt -
 go test -run '^$' -fuzz '^FuzzSchedulerMatchesReference$' -fuzztime 30s ./internal/dram/
 go test -run '^$' -fuzz '^FuzzAdvanceMatchesCycle$' -fuzztime 15s ./internal/cpu/
 go test -run '^$' -fuzz '^FuzzLoopMatchesReference$' -fuzztime 15s ./internal/sim/
