@@ -36,7 +36,7 @@ func main() {
 	ops := flag.Uint64("ops", 50_000, "memory operations per core")
 	bench := flag.String("bench", "", "comma-separated benchmark subset (default: experiment's own)")
 	seed := flag.Int64("seed", 42, "trace generation seed")
-	parallel := flag.Int("parallel", 0, "concurrent simulations (default: CPUs-1)")
+	parallel := flag.Int("parallel", 0, "concurrent simulations (default: CPUs)")
 	farmAddr := flag.String("farm", "", "run every sweep on the simfarmd coordinator at this address instead of in-process (results bit-identical; the farm corpus serves cache hits)")
 	farmCA := flag.String("farm-ca", "", "with -farm: CA bundle (PEM) pinning the coordinator's TLS certificate; implies https")
 	farmCert := flag.String("farm-cert", "", "with -farm: client TLS certificate (PEM) for mutual TLS; requires -farm-key")

@@ -110,16 +110,17 @@ const (
 
 // head is one entry of a head table: a bank's head t of one kind, with the
 // copies of t's arrival sequence number and rank that the scan compares,
-// the command t needs, and rel, the earliest cycle that command can issue
-// ignoring the shared data bus, with the rank gates folded in (MaxUint64
-// for an ACT while the rank's refresh is pending). Release times are
-// recomputed at every event that moves one of their terms: a command on the
-// bank, an ACT or write column command on its rank, a REF, or a
+// the command t needs, the bank, and rel, the earliest cycle that command
+// can issue ignoring the shared data bus, with the rank gates folded in
+// (MaxUint64 for an ACT while the rank's refresh is pending). Release times
+// are recomputed at every event that moves one of their terms: a command on
+// the bank, an ACT or write column command on its rank, a REF, or a
 // refresh-pending flip.
 type head struct {
 	rel  uint64
 	seq  uint64
 	t    *Txn
+	bk   *bank
 	rank int32
 	c    cmd
 }
@@ -651,12 +652,16 @@ func (ch *channel) issueFrom(d mem.AccessType, now uint64, until *uint64) bool {
 			col, colSeq = e, e.seq
 		}
 	}
-	for i := range others {
-		e := &others[i]
-		if now < e.rel {
-			u = min(u, e.rel)
-		} else if e.seq < otherSeq {
-			other, otherSeq = e, e.seq
+	if same == nil && col == nil {
+		// A ready row hit beats every PRE/ACT head, and issuing it resets
+		// nextTry, so their releases are only needed when none is ready.
+		for i := range others {
+			e := &others[i]
+			if now < e.rel {
+				u = min(u, e.rel)
+			} else if e.seq < otherSeq {
+				other, otherSeq = e, e.seq
+			}
 		}
 	}
 	*until = u
@@ -760,9 +765,10 @@ func (ch *channel) busNeed(rnk int, isWrite bool) uint64 {
 // issue applies command c for t at now, then brings the FR-FCFS index up to
 // date: ACT and PRE re-head the bank in both directions (its transactions
 // change class), a column command makes the next row hit its direction's
-// head, and release times are recomputed for the bank and for the rank's
-// banks whose release a moved rank gate enters (an ACT: the closed banks,
-// through tRRD and tFAW; a write: the open banks, through tWTR).
+// head, and release times are recomputed for the bank and for the heads of
+// the rank's other banks whose release a moved rank gate enters (an ACT:
+// the closed banks' ACT heads, through tRRD and tFAW; a write: the open
+// banks' read-hit heads, through tWTR).
 func (ch *channel) issue(t *Txn, c cmd, now uint64) {
 	tm := &ch.cfg.Timing
 	rk := &ch.ranks[t.Loc.Rank]
@@ -789,7 +795,8 @@ func (ch *channel) issue(t *Txn, c cmd, now uint64) {
 		// tRRD and tFAW move the ACT release of the rank's closed banks.
 		for b := range rk.banks {
 			if o := &rk.banks[b]; !o.open {
-				ch.release(rk, o)
+				ch.releaseKind(otherHeads+int(mem.Read), rk, o)
+				ch.releaseKind(otherHeads+int(mem.Write), rk, o)
 			}
 		}
 		ch.Stats.Activates.Inc()
@@ -842,15 +849,15 @@ func (ch *channel) issue(t *Txn, c cmd, now uint64) {
 		}
 		t.Done = burstStart + tm.TBurst
 		ch.remove(rk, bk, t)
+		ch.release(rk, bk)
 		if c == cmdWrite {
-			// tWTR moves the read-hit release of the rank's open banks.
+			// tWTR moves the read-hit release of the rank's other open
+			// banks.
 			for b := range rk.banks {
-				if o := &rk.banks[b]; o.open {
-					ch.release(rk, o)
+				if o := &rk.banks[b]; o != bk && o.open {
+					ch.releaseKind(hitHeads+int(mem.Read), rk, o)
 				}
 			}
-		} else {
-			ch.release(rk, bk)
 		}
 		ch.pending = append(ch.pending, t)
 	}
@@ -890,10 +897,15 @@ func (ch *channel) relOf(k int, rk *rank, bk *bank) uint64 {
 
 // release recomputes the release times of bk's heads.
 func (ch *channel) release(rk *rank, bk *bank) {
-	for k, at := range bk.at {
-		if at != 0 {
-			ch.heads[k][at-1].rel = ch.relOf(k, rk, bk)
-		}
+	for k := range bk.at {
+		ch.releaseKind(k, rk, bk)
+	}
+}
+
+// releaseKind recomputes the release time of bk's head of kind k, if any.
+func (ch *channel) releaseKind(k int, rk *rank, bk *bank) {
+	if at := bk.at[k]; at != 0 {
+		ch.heads[k][at-1].rel = ch.relOf(k, rk, bk)
 	}
 }
 
@@ -910,7 +922,7 @@ func (ch *channel) setHead(k int, rk *rank, bk *bank, t *Txn) {
 	tab, at := ch.heads[k], bk.at[k]
 	var h head
 	if t != nil {
-		h = head{ch.relOf(k, rk, bk), t.seq, t, int32(t.Loc.Rank), cmdAct}
+		h = head{ch.relOf(k, rk, bk), t.seq, t, bk, int32(t.Loc.Rank), cmdAct}
 		switch {
 		case k < otherHeads && t.Op.Type == mem.Write:
 			h.c = cmdWrite
@@ -930,15 +942,19 @@ func (ch *channel) setHead(k int, rk *rank, bk *bank, t *Txn) {
 		// Move the last entry into the freed slot.
 		last := tab[len(tab)-1]
 		tab[at-1] = last
-		ch.ranks[last.t.Loc.Rank].banks[last.t.Loc.Bank].at[k] = at
+		last.bk.at[k] = at
 		tab[len(tab)-1] = head{}
 		ch.heads[k] = tab[:len(tab)-1]
 		bk.at[k] = 0
 	}
 }
 
-// reHead recomputes both of bk's heads in direction d from its queue.
+// reHead recomputes both of bk's heads in direction d from its queue. An
+// empty queue has no heads to recompute.
 func (ch *channel) reHead(rk *rank, bk *bank, d mem.AccessType) {
+	if len(bk.q[d]) == 0 {
+		return
+	}
 	var hit, other *Txn
 	for _, t := range bk.q[d] {
 		if bk.open && t.Loc.Row == bk.row {

@@ -38,7 +38,7 @@ func TestJobSetCounts(t *testing.T) {
 		names              []string
 		declared, distinct int
 	}{
-		{"all", Options{}, AllArtifacts, 999, 564},
+		{"all", Options{}, AllArtifacts, 999, 549},
 		{"ablations", Options{Benchmarks: []string{"pr", "mcf", "lbm", "cc", "bwaves"}}, AblationArtifacts, 110, 55},
 	}
 	for _, c := range cases {

@@ -3,13 +3,16 @@ package farm
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/farm/api"
+	"repro/internal/runner"
 	"repro/internal/runspec"
 	"repro/internal/sim"
 )
@@ -124,6 +127,94 @@ func TestJournalCompactionRoundTrip(t *testing.T) {
 		if r.Kind != "submit" && r.Kind != "lease" && r.Spec == nil {
 			t.Fatalf("compacted %s record for %s must carry its spec", r.Kind, r.Hash)
 		}
+	}
+}
+
+// TestReplayRekeysRenormalizedSpec replays a journal written before
+// Spec.Normalized folded an explicit default mapping policy: it keys a
+// synergy+column run (one of Fig 15's) by the hash that spec had then, and
+// the corpus holds the run under that hash. The restarted coordinator must
+// key the job by the spec's current hash, so it neither quarantines the old
+// entry as corrupt nor stores the re-simulated result where no current
+// submission looks, and the next restart serves the job from the corpus.
+func TestReplayRekeysRenormalizedSpec(t *testing.T) {
+	const oldHash = "90b6ed6ffc4b3347afdd22bfb0a46fe1dcfed19d58377727a45584a90d4ff0a5"
+	spec := runspec.Spec{
+		Scheme: "synergy", Benchmark: "mcf", Cores: 1, Channels: 1, Policy: "column",
+		OpsPerCore: 300, Seed: 1, DataFrac: 0.75,
+	}
+	newHash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newHash == oldHash {
+		t.Fatal("the default policy no longer folds; the journal below is not stale")
+	}
+	dir := t.TempDir()
+	if err := runner.NewCache(dir).Store(oldHash, spec, &sim.Summary{Cycles: 42}); err != nil {
+		t.Fatal(err)
+	}
+	sweepID := runspec.SweepID([]string{oldHash})
+	var stale bytes.Buffer
+	for _, rec := range []JournalRecord{
+		{Kind: "submit", Sweep: sweepID, Jobs: 1, Keys: []string{"fig15"}, Hashes: []string{oldHash}},
+		{Kind: "cached", Sweep: sweepID, Key: "fig15", Hash: oldHash, Spec: &spec},
+	} {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale.Write(append(line, '\n'))
+	}
+	if err := os.WriteFile(JournalPath(dir), stale.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	noQuarantine := func() {
+		t.Helper()
+		if bad, _ := filepath.Glob(filepath.Join(dir, "*.bad")); len(bad) > 0 {
+			t.Fatalf("replay quarantined %v", bad)
+		}
+	}
+	cfg := Config{CacheDir: dir, LeaseTTL: 30 * time.Second, Retries: 3, Clock: newFakeClock().Now}
+	ctx := context.Background()
+
+	co, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noQuarantine()
+	srv, cl := serveFarm(t, co)
+	st, err := cl.Sweep(ctx, sweepID)
+	if err != nil {
+		t.Fatalf("the journaled sweep must survive the restart: %v", err)
+	}
+	if len(st.Jobs) != 1 || st.Jobs[0].Hash != newHash || st.Jobs[0].State != api.StateQueued {
+		t.Fatalf("replayed sweep %+v, want its job queued under %s", st.Jobs, newHash)
+	}
+	l, err := cl.Lease(ctx, "w", 0)
+	if err != nil || l == nil || l.Hash != newHash {
+		t.Fatalf("lease %+v %v, want the job under %s", l, err, newHash)
+	}
+	if _, err := cl.Complete(ctx, api.CompleteRequest{Lease: l.ID, Outcome: api.OutcomeOK, Summary: &sim.Summary{Cycles: 42}}); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if err := co.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	co2, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co2.Close()
+	noQuarantine()
+	if s := co2.Snapshot(); s.Jobs != 1 || s.Cached != 1 {
+		t.Fatalf("second restart snapshot %+v, want the job cached", s)
+	}
+	_, cl2 := serveFarm(t, co2)
+	if res, err := cl2.Result(ctx, newHash); err != nil || res.Summary.Cycles != 42 {
+		t.Fatalf("result under %s: %+v %v", newHash, res, err)
 	}
 }
 

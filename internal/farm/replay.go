@@ -37,7 +37,30 @@ import (
 // anything. Jobs that were leased when the journal ends are requeued or
 // failed by the retry policy; done/cached jobs whose corpus entry
 // disappeared are re-queued when their spec is known, failed otherwise.
+//
+// A job is keyed by its journaled spec's current hash. A journal written
+// before a change to runspec.Spec.Normalized may address a job by the hash
+// its spec had then; under that old hash the corpus entry's spec no longer
+// hashes to its own address (the cache quarantines it as corrupt), and a
+// result stored there would be unreachable to every current submission. So
+// such a job, and every sweep listing it, moves to the current hash, where
+// the corpus either holds the run or the job simulates once.
 func (c *Coordinator) replayLocked(recs []JournalRecord) {
+	rekey := map[string]string{}
+	for _, rec := range recs {
+		if rec.Spec == nil || rec.Hash == "" {
+			continue
+		}
+		if h, err := rec.Spec.Hash(); err == nil && h != rec.Hash {
+			rekey[rec.Hash] = h
+		}
+	}
+	current := func(h string) string {
+		if nh, ok := rekey[h]; ok {
+			return nh
+		}
+		return h
+	}
 	ensure := func(rec JournalRecord) *job {
 		j := c.jobs[rec.Hash]
 		if j == nil {
@@ -83,6 +106,7 @@ func (c *Coordinator) replayLocked(recs []JournalRecord) {
 	}
 
 	for _, rec := range recs {
+		rec.Hash = current(rec.Hash)
 		switch rec.Kind {
 		case "submit":
 			// Legacy submit records (pre-compaction) carry no job list and
@@ -90,7 +114,11 @@ func (c *Coordinator) replayLocked(recs []JournalRecord) {
 			// the jobs themselves are keyed by hash.
 			if len(rec.Hashes) > 0 && len(rec.Hashes) == len(rec.Keys) {
 				if c.sweeps[rec.Sweep] == nil {
-					c.sweeps[rec.Sweep] = &sweepState{hashes: rec.Hashes, keys: rec.Keys}
+					hashes := make([]string, len(rec.Hashes))
+					for i, h := range rec.Hashes {
+						hashes[i] = current(h)
+					}
+					c.sweeps[rec.Sweep] = &sweepState{hashes: hashes, keys: rec.Keys}
 				}
 			}
 		case "queued", "requeue":

@@ -50,8 +50,7 @@ var ErrHeartbeatCanceled = errors.New("runner: attempt abandoned on heartbeat fa
 
 // Options configure a batch run.
 type Options struct {
-	// Parallel bounds concurrent simulations (default: GOMAXPROCS-1,
-	// min 1).
+	// Parallel bounds concurrent simulations (default: GOMAXPROCS).
 	Parallel int
 	// Cache, when non-nil, serves hits and stores results by spec hash.
 	// A cache also enables the sweep journal: every job-lifecycle event,
@@ -116,11 +115,7 @@ func (o Options) parallel() int {
 	if o.Parallel > 0 {
 		return o.Parallel
 	}
-	p := runtime.GOMAXPROCS(0) - 1
-	if p < 1 {
-		p = 1
-	}
-	return p
+	return runtime.GOMAXPROCS(0)
 }
 
 // runSim is the simulation entry point, returning both the live result

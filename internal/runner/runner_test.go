@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -35,6 +36,14 @@ func mustRun(t *testing.T, opts Options, jobs []Job) (map[string]*sim.Summary, S
 		t.Fatal(err)
 	}
 	return res, st
+}
+
+// TestParallelDefaultsToEveryCPU checks that an unset Parallel runs one
+// simulation per CPU.
+func TestParallelDefaultsToEveryCPU(t *testing.T) {
+	if got, want := (Options{}).parallel(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("default parallelism %d, want GOMAXPROCS %d", got, want)
+	}
 }
 
 func TestCacheMissThenHit(t *testing.T) {

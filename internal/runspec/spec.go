@@ -98,6 +98,9 @@ func (s Spec) Normalized() Spec {
 		n.ROBSize, n.RetireWidth = 0, 0
 	}
 	n.TickWorkers = 0 // deprecated and ignored
+	if n.Policy != "" && n.Policy == n.defaultPolicy() {
+		n.Policy = ""
+	}
 	if n.Faults != nil {
 		if f := n.Faults.Normalized(); f.Enabled() {
 			n.Faults = &f
@@ -106,6 +109,22 @@ func (s Spec) Normalized() Spec {
 		}
 	}
 	return n
+}
+
+// defaultPolicy returns the mapping policy a run of the spec uses when
+// Policy is empty, resolved by sim.Policy as the run resolves it, or "" for
+// a spec that cannot run.
+func (s Spec) defaultPolicy() string {
+	s.Policy = ""
+	cfg, err := s.SimConfig()
+	if err != nil {
+		return ""
+	}
+	policy, err := sim.Policy(cfg)
+	if err != nil {
+		return ""
+	}
+	return policy
 }
 
 // Canonical returns the canonical JSON encoding of the normalized spec:

@@ -154,6 +154,45 @@ func TestNormalizationEquivalence(t *testing.T) {
 	}
 }
 
+// TestDefaultPolicyFolds checks that naming a scheme's default mapping
+// policy names the same run as leaving it empty, for every registered
+// scheme by name and as an override, and that any other policy does not.
+func TestDefaultPolicyFolds(t *testing.T) {
+	for _, c := range []struct{ scheme, policy string }{
+		{"synergy", "column"},
+		{"itesp", "rbh2"},
+		{"itesp4p", "rbh4"},
+	} {
+		s := Spec{Scheme: c.scheme, Benchmark: "mcf", Cores: 4}
+		explicit := s
+		explicit.Policy = c.policy
+		if mustHash(t, explicit) != mustHash(t, s) {
+			t.Errorf("%s+%s should hash like %s", c.scheme, c.policy, c.scheme)
+		}
+	}
+	for _, name := range core.SchemeNames() {
+		scheme, err := core.SchemeByName(name, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		def := sim.DefaultPolicy(scheme)
+		for _, s := range []Spec{
+			{Scheme: name, Benchmark: "mcf", Cores: 4},
+			{SchemeOverride: &scheme, Benchmark: "mcf", Cores: 4},
+		} {
+			base := mustHash(t, s)
+			for _, pol := range []string{"column", "rank", "rbh2", "rbh4"} {
+				p := s
+				p.Policy = pol
+				if same := mustHash(t, p) == base; same != (pol == def) {
+					t.Errorf("%s (override %v) with policy %s: same hash as unset = %v, default is %s",
+						name, s.SchemeOverride != nil, pol, same, def)
+				}
+			}
+		}
+	}
+}
+
 func TestSimConfigRoundTrip(t *testing.T) {
 	s := fullSpec()
 	cfg, err := s.SimConfig()

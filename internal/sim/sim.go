@@ -35,7 +35,8 @@ type Config struct {
 	// 8 cores).
 	Channels int
 	// PolicyName selects the address-mapping policy; empty means the
-	// scheme's best default (column for baselines, rbh4 for ITESP).
+	// scheme's best default, DefaultPolicy (column for the baselines, rbh2
+	// for ITESP's two parities per leaf).
 	PolicyName string
 	// OpsPerCore is the number of memory operations simulated per core
 	// (the paper uses 5M; experiments here default lower for runtime).
@@ -253,13 +254,14 @@ func attachObs(cfg Config, engine *core.Engine, dmem *dram.Memory, cores []*cpu.
 	}
 }
 
-// defaultPolicy picks the best mapping per scheme (Section V-C): the
+// DefaultPolicy returns the mapping policy a run of s uses when Config
+// leaves PolicyName empty: the best mapping per scheme (Section V-C). The
 // baselines favor pure row-buffer locality (column); embedded parity wants
 // the N-row-buffer-hit policy whose group size matches the number of parity
 // fields per leaf, so that N consecutive row-buffer-local blocks still land
 // in a single leaf node; standalone shared parity likewise groups blocks of
 // different ranks and favors rbh4.
-func defaultPolicy(s core.Scheme) string {
+func DefaultPolicy(s core.Scheme) string {
 	switch s.Parity {
 	case core.ParityEmbedded:
 		switch {
@@ -332,6 +334,42 @@ type run struct {
 	wd drainWatchdog
 }
 
+// resolve returns the scheme a run of cfg simulates, with its on-chip cache
+// budget scaled by MetaKBPerCore, and the name of the address-mapping
+// policy the run uses: PolicyName, or the scheme's DefaultPolicy when that
+// is empty.
+func resolve(cfg Config) (core.Scheme, string, error) {
+	var scheme core.Scheme
+	if cfg.Scheme != nil {
+		scheme = *cfg.Scheme
+	} else {
+		var err error
+		scheme, err = core.SchemeByName(cfg.SchemeName, cfg.Cores)
+		if err != nil {
+			return core.Scheme{}, "", err
+		}
+	}
+	if cfg.MetaKBPerCore > 0 && cfg.MetaKBPerCore != 16 {
+		scheme.MetaCacheKB = scheme.MetaCacheKB * cfg.MetaKBPerCore / 16
+		scheme.MACCacheKB = scheme.MACCacheKB * cfg.MetaKBPerCore / 16
+		scheme.ParityCacheKB = scheme.ParityCacheKB * cfg.MetaKBPerCore / 16
+	}
+	policy := cfg.PolicyName
+	if policy == "" {
+		policy = DefaultPolicy(scheme)
+	}
+	return scheme, policy, nil
+}
+
+// Policy returns the name of the address-mapping policy a run of cfg uses.
+// It resolves the scheme exactly as the run does, so a caller that folds an
+// explicit default away (runspec.Spec.Normalized) folds the policy the run
+// would pick.
+func Policy(cfg Config) (string, error) {
+	_, policy, err := resolve(cfg)
+	return policy, err
+}
+
 // newRun validates cfg, fills in its defaults, and assembles the machine.
 func newRun(cfg Config) (*run, error) {
 	if cfg.Cores <= 0 {
@@ -346,24 +384,11 @@ func newRun(cfg Config) (*run, error) {
 	if cfg.DataFrac == 0 {
 		cfg.DataFrac = 0.75
 	}
-	var scheme core.Scheme
-	if cfg.Scheme != nil {
-		scheme = *cfg.Scheme
-	} else {
-		var err error
-		scheme, err = core.SchemeByName(cfg.SchemeName, cfg.Cores)
-		if err != nil {
-			return nil, err
-		}
+	scheme, policyName, err := resolve(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.MetaKBPerCore > 0 && cfg.MetaKBPerCore != 16 {
-		scheme.MetaCacheKB = scheme.MetaCacheKB * cfg.MetaKBPerCore / 16
-		scheme.MACCacheKB = scheme.MACCacheKB * cfg.MetaKBPerCore / 16
-		scheme.ParityCacheKB = scheme.ParityCacheKB * cfg.MetaKBPerCore / 16
-	}
-	if cfg.PolicyName == "" {
-		cfg.PolicyName = defaultPolicy(scheme)
-	}
+	cfg.PolicyName = policyName
 	geom := addrmap.DefaultGeometry(cfg.Channels)
 	policy, err := addrmap.ByName(cfg.PolicyName, geom)
 	if err != nil {
@@ -541,12 +566,20 @@ func wakeAt(at, q uint64) uint64 {
 // done core owes nothing, so the end needs no charge.
 //
 // A set-aside core is Settled, so it neither loads an op nor finishes while
-// set aside, and the done flags read at the top of each iteration are
-// current. Its retirement in the stretch is a prefix, RetiringFor cycles
+// set aside. Its retirement in the stretch is a prefix, RetiringFor cycles
 // long, so the watchdog knows in advance which iterations retire: those
 // whose burst starts before some set-aside core's last retiring cycle. A
 // completion can end that prefix early, by finishing the core, so the
 // horizon is recomputed whenever the core is looked at.
+//
+// The loop keeps the earliest core wake, the last CPU cycle at which a
+// set-aside core retires and the all-done flag as its own state. A
+// delivered token or cleared backpressure sets a core's wake, and so the
+// earliest wake, to 0. Nothing else moves a wake, a retirement horizon or a
+// done flag but a look, and a look happens only in an iteration whose
+// burst holds the earliest wake, so only such an iteration rescans the
+// cores and recounts the done flags. Any other iteration touches no core,
+// and with no core stepping, the burst's cycles pass at once.
 //
 // After an iteration with an idle engine, no completion, no stepped core
 // and no finished core, nothing was enqueued, so Memory.NextEvent stays
@@ -584,6 +617,14 @@ func (r *run) loop(ctx context.Context) error {
 		tokenBuf []uint64
 		stepping []*lazyCore
 		parked   bool // some core may be parked
+		// The loop's kept view of the cores, current until a core is looked
+		// at: the earliest wake, the last CPU cycle at which a set-aside
+		// core retires, and whether every core is done, which needs a
+		// recount after an iteration that looked.
+		wake        uint64
+		retireUntil uint64
+		allDone     bool
+		looked      = true
 	)
 	for {
 		if cancelable {
@@ -594,7 +635,9 @@ func (r *run) loop(ctx context.Context) error {
 				}
 			}
 		}
-		allDone := r.allDone()
+		if looked {
+			allDone = r.allDone()
+		}
 		if allDone {
 			// Stop injecting and scrubbing so the run can drain;
 			// in-flight corrections still resolve (Pending covers them).
@@ -611,6 +654,7 @@ func (r *run) loop(ctx context.Context) error {
 			l.catchUp(start)
 			l.OnComplete(tok)
 			l.wake, l.parked = 0, false
+			wake = 0
 		}
 		// Backpressure holds through the burst: the spill drains only in
 		// Engine.Tick. A refused Access has no side effects, so a core the
@@ -622,51 +666,59 @@ func (r *run) loop(ctx context.Context) error {
 					lazy[i].wake, lazy[i].parked = 0, false
 				}
 			}
-			parked = false
+			parked, wake = false, 0
 		}
 		progressed, finished := len(tokens) > 0, false
 		stepping = stepping[:0]
-		var retireUntil uint64 // the last CPU cycle at which a set-aside core retires
-		for i := range lazy {
-			l := &lazy[i]
-			if l.wake <= end {
-				// The core's own event: charge it, then step it through the
-				// burst or set it aside anew.
-				l.catchUp(start)
-				l.retires = 0
-				quiet := never
-				if !refused {
-					quiet = l.QuietFor()
-				}
-				if quiet < p {
-					stepping = append(stepping, l)
-				} else {
-					// An unsettled core loads its next op or finishes in the
-					// burst's first cycle, so it runs the burst now.
-					if !l.Settled() {
-						before := l.Retired()
-						l.Advance(start+1, p)
-						l.at = end
-						progressed = progressed || l.Retired() != before
-						finished = finished || l.Done()
+		looked = wake <= end
+		if looked {
+			wake, retireUntil = never, 0
+			for i := range lazy {
+				l := &lazy[i]
+				if l.wake <= end {
+					// The core's own event: charge it, then step it through
+					// the burst or set it aside anew.
+					l.catchUp(start)
+					l.retires = 0
+					quiet := never
+					if !refused {
 						quiet = l.QuietFor()
 					}
-					if n := l.RetiringFor(); n > 0 {
-						l.retires = l.at + n
-					}
-					if refused {
-						l.wake, l.parked, parked = never, true, true
+					if quiet < p {
+						stepping = append(stepping, l)
 					} else {
-						l.wake = wakeAt(l.at, quiet)
+						// An unsettled core loads its next op or finishes in
+						// the burst's first cycle, so it runs the burst now.
+						if !l.Settled() {
+							before := l.Retired()
+							l.Advance(start+1, p)
+							l.at = end
+							progressed = progressed || l.Retired() != before
+							finished = finished || l.Done()
+							quiet = l.QuietFor()
+						}
+						if n := l.RetiringFor(); n > 0 {
+							l.retires = l.at + n
+						}
+						if refused {
+							l.wake, l.parked, parked = never, true, true
+						} else {
+							l.wake = wakeAt(l.at, quiet)
+						}
 					}
 				}
+				wake = min(wake, l.wake)
+				retireUntil = max(retireUntil, l.retires)
 			}
-			retireUntil = max(retireUntil, l.retires)
 		}
 		progressed = progressed || retireUntil > start
 		// The stepped cores run cycle by cycle in core order, and cpuCycle,
 		// the tracer's clock, rises once per cycle. Each core owns its trace
 		// source, so a core set aside changes nothing a stepped one sees.
+		// With no core stepping, nothing reads the clock inside the burst.
+		if len(stepping) == 0 {
+			r.cpuCycle = end
+		}
 		for r.cpuCycle < end {
 			r.cpuCycle++
 			for _, l := range stepping {
@@ -710,14 +762,12 @@ func (r *run) loop(ctx context.Context) error {
 			skip = min(skip, need)
 		}
 		if !refused {
-			// A core waking at w needs a look in the first burst that
-			// holds w. While the engine refuses, no wake matters.
-			for i := range lazy {
-				if w := lazy[i].wake; w > r.cpuCycle {
-					skip = min(skip, (w-r.cpuCycle-1)/p)
-				} else {
-					skip = 0
-				}
+			// The earliest core wake needs a look in the first burst that
+			// holds it. While the engine refuses, no wake matters.
+			if wake > r.cpuCycle {
+				skip = min(skip, (wake-r.cpuCycle-1)/p)
+			} else {
+				skip = 0
 			}
 		}
 		if skip == 0 {

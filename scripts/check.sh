@@ -1,6 +1,7 @@
 #!/bin/sh
 # Pre-commit gate: docs-drift check (every cmd flag documented, no dead
-# markdown links), vet, build, race-checked tests for the packages with a
+# markdown links), gofmt (any file it would reformat fails the gate), vet,
+# build, race-checked tests for the packages with a
 # documented concurrency contract (internal/stats single-owner counters,
 # the internal/obs layer that snapshots them, the internal/runner worker
 # pool, and the internal/farm coordinator), then the full suite.
@@ -9,9 +10,10 @@
 # commands DESIGN.md names for them ("Checked-in result artifacts") and
 # fails on any difference: results_full.txt is `experiments -all -ops
 # 15000` and results_ablations.txt is `experiments -ablations -ops 15000
-# -bench pr,mcf,lbm,cc,bwaves`, both run here on every CPU (parallelism
-# never changes the output). A change that moves the numbers on purpose
-# regenerates the files with the same commands.
+# -bench pr,mcf,lbm,cc,bwaves`, both run here with the default of one
+# simulation per CPU (parallelism never changes the output). A change that
+# moves the numbers on purpose regenerates the files with the same
+# commands.
 #
 # The DRAM scheduler's differential fuzz target then runs for 30 s: it
 # checks the memoized FR-FCFS scheduler against the memo-free reference in
@@ -35,13 +37,18 @@ set -eux
 cd "$(dirname "$0")/.."
 
 sh scripts/docscheck.sh
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 go vet ./...
 go build ./...
 go test -race ./internal/stats/... ./internal/obs/... ./internal/runner/... ./internal/farm/...
 go test ./...
-ncpu=$(getconf _NPROCESSORS_ONLN)
-go run ./cmd/experiments -all -ops 15000 -parallel "$ncpu" | diff -u results_full.txt -
-go run ./cmd/experiments -ablations -ops 15000 -bench pr,mcf,lbm,cc,bwaves -parallel "$ncpu" | diff -u results_ablations.txt -
+go run ./cmd/experiments -all -ops 15000 | diff -u results_full.txt -
+go run ./cmd/experiments -ablations -ops 15000 -bench pr,mcf,lbm,cc,bwaves | diff -u results_ablations.txt -
 go test -run '^$' -fuzz '^FuzzSchedulerMatchesReference$' -fuzztime 30s ./internal/dram/
 go test -run '^$' -fuzz '^FuzzAdvanceMatchesCycle$' -fuzztime 15s ./internal/cpu/
 go test -run '^$' -fuzz '^FuzzLoopMatchesReference$' -fuzztime 15s ./internal/sim/
