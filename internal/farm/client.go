@@ -305,11 +305,15 @@ func (c *Client) Result(ctx context.Context, hash string) (*api.ResultResponse, 
 // of runner.Run. It fetches the full status table once, then long-polls
 // (for up to the coordinator's cap) for the rows changed since the
 // previous answer and merges them by key, so a sweep's status traffic
-// grows with its state changes, not with wall-clock time. onDone, when
-// non-nil, is called once per key as jobs reach terminal states
-// (serialized, with monotonically increasing done counts out of the
-// sweep's size). Failed jobs are reported like the runner reports them:
-// one error per failed job, joined, with every missing key accounted for.
+// grows with its state changes, not with wall-clock time. Results are
+// fetched as rows land: each answer's rows that are done or cached and
+// have no result yet are fetched before the next long-poll, while the rest
+// of the sweep runs, so only the last answer's rows are left to fetch once
+// the sweep completes. onDone, when non-nil, is called once per key as
+// jobs reach terminal states (serialized, with monotonically increasing
+// done counts out of the sweep's size). Failed jobs are reported like the
+// runner reports them: one error per failed job, joined in first-seen key
+// order, with every missing key accounted for.
 func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func(done, total int, key string, cached bool)) (map[string]*sim.Summary, error) {
 	sub, err := c.Submit(ctx, jobs)
 	if err != nil {
@@ -317,6 +321,8 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 	}
 	rows := make(map[string]api.JobStatus, sub.Jobs) // the merged table
 	var keys []string                                // rows' keys, first-seen order
+	results := make(map[string]*sim.Summary, sub.Jobs)
+	fetchErrs := map[string]error{} // by key: the last failed result fetch
 	reported := map[string]bool{}
 	var cursor string // empty: the first fetch gets the full table at once
 	for {
@@ -345,25 +351,32 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 				onDone(len(reported), sub.Jobs, j.Key, j.State == api.StateCached)
 			}
 		}
+		for _, j := range st.Jobs {
+			if (j.State != api.StateDone && j.State != api.StateCached) || results[j.Key] != nil {
+				continue
+			}
+			res, err := c.Result(ctx, j.Hash)
+			if err != nil {
+				fetchErrs[j.Key] = err
+				continue
+			}
+			results[j.Key] = res.Summary
+			delete(fetchErrs, j.Key)
+		}
 		if st.Complete {
 			break
 		}
 	}
 
-	results := make(map[string]*sim.Summary, len(rows))
 	var errs []error
 	for _, key := range keys {
 		j := rows[key]
 		if j.State == api.StateFailed {
+			delete(results, key)
 			errs = append(errs, fmt.Errorf("%s: %s", j.Key, j.Error))
-			continue
-		}
-		res, err := c.Result(ctx, j.Hash)
-		if err != nil {
+		} else if err := fetchErrs[key]; err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", j.Key, err))
-			continue
 		}
-		results[j.Key] = res.Summary
 	}
 	return results, errors.Join(errs...)
 }

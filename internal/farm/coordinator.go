@@ -75,7 +75,8 @@ type job struct {
 // Coordinator owns the farm's job state machine: a durable pull queue of
 // unique specs, lease/heartbeat/expiry tracking, the shared result corpus,
 // and a crash-safe JSONL journal of every transition. All methods are safe
-// for concurrent use; Lease long-polls without holding the lock.
+// for concurrent use; Lease long-polls without holding the lock, and the
+// corpus writer stores finished results without holding it.
 //
 // State machine per job (states are api.State*):
 //
@@ -111,8 +112,16 @@ type Coordinator struct {
 	leaseSeq  uint64
 	wake      chan struct{} // closed and replaced whenever ver advances
 	journal   *journal
-	jerr      error // first journal write error (reported by Close)
+	jerr      error // first journal or corpus write error (reported by Close)
 	compacted int64 // journal size right after the last compaction
+
+	// The corpus writer. Complete queues each done job on stores and
+	// answers at once; one goroutine at a time (writing is true while it
+	// runs) stores the queued summaries into the corpus without holding
+	// c.mu, and signals idle when it has emptied the queue.
+	stores  []*job
+	writing bool
+	idle    *sync.Cond // on c.mu
 }
 
 // sweepState remembers a submitted sweep: its job hashes in submission
@@ -164,6 +173,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		wake:    make(chan struct{}),
 		journal: j,
 	}
+	c.idle = sync.NewCond(&c.mu)
 	c.mu.Lock()
 	c.replayLocked(recs)
 	c.compactLocked()
@@ -181,12 +191,16 @@ func (c *Coordinator) Shutdown() {
 	c.quitOnce.Do(func() { close(c.quit) })
 }
 
-// Close compacts the journal down to the live state and closes it,
-// reporting the first journal error encountered during the coordinator's
+// Close waits for the corpus writer to store every queued result, then
+// compacts the journal down to the live state and closes it, reporting the
+// first journal or corpus write error encountered during the coordinator's
 // lifetime.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for c.writing {
+		c.idle.Wait()
+	}
 	c.compactLocked()
 	err := c.journal.close()
 	if c.jerr != nil {
@@ -408,13 +422,14 @@ func (c *Coordinator) Heartbeat(leaseID string) (time.Duration, error) {
 	return c.cfg.LeaseTTL, nil
 }
 
-// Complete resolves a leased job: on OutcomeOK the summary is stored into
-// the shared corpus and the job is done; on a classified failure the
-// runner's retry taxonomy applies (panic and timeout are retryable, plain
-// failure is not). The returned state is the job's new state (done,
-// queued, or failed). A late Complete for a lapsed lease returns
-// CodeLeaseGone and changes nothing — the job already went back to the
-// queue.
+// Complete resolves a leased job: on OutcomeOK the job is done, its
+// summary is served from memory, and the corpus writer stores it into the
+// shared corpus after the answer (see writeCorpus); on a classified
+// failure the runner's retry taxonomy applies (panic and timeout are
+// retryable, plain failure is not). The returned state is the job's new
+// state (done, queued, or failed). A late Complete for a lapsed lease
+// returns CodeLeaseGone and changes nothing — the job already went back to
+// the queue.
 func (c *Coordinator) Complete(req api.CompleteRequest) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -433,16 +448,15 @@ func (c *Coordinator) Complete(req api.CompleteRequest) (string, error) {
 			c.requeueOrFailLocked(j, "worker reported success without a summary", true)
 			return j.state, &api.Error{Code: api.CodeBadRequest, Message: "outcome ok requires a summary"}
 		}
-		if err := c.cache.Store(j.hash, j.spec.Normalized(), req.Summary); err != nil {
-			c.record(JournalRecord{Kind: "store_error", Key: j.key, Hash: j.hash, Error: err.Error()})
-			if c.jerr == nil {
-				c.jerr = err
-			}
-		}
 		c.setState(j, api.StateDone)
 		j.summary = &runner.Entry{Hash: j.hash, Spec: j.spec.Normalized(), Summary: req.Summary}
 		c.cfg.Collector.JobDone(j.key, sweep.OutcomeDone, j.attempts, "")
 		c.record(JournalRecord{Kind: "done", Key: j.key, Hash: j.hash, Worker: j.worker, Attempts: j.attempts})
+		c.stores = append(c.stores, j)
+		if !c.writing {
+			c.writing = true
+			go c.writeCorpus()
+		}
 		return j.state, nil
 	}
 
@@ -455,6 +469,33 @@ func (c *Coordinator) Complete(req api.CompleteRequest) (string, error) {
 	retryable := req.Outcome == api.OutcomePanic || req.Outcome == api.OutcomeTimeout
 	c.requeueOrFailLocked(j, req.Error, retryable)
 	return j.state, nil
+}
+
+// writeCorpus is the corpus writer: it stores each queued done job's
+// summary with runner.Cache.Store, in completion order and without holding
+// c.mu, until the queue is empty. Complete starts it when it queues a job
+// and no writer is running, so a Complete after Close is still stored. A
+// failed write is journaled as store_error and kept for Close; replay
+// re-queues a done job whose corpus entry is missing.
+func (c *Coordinator) writeCorpus() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.stores) > 0 {
+		j := c.stores[0]
+		c.stores = c.stores[1:]
+		e := j.summary
+		c.mu.Unlock()
+		err := c.cache.Store(e.Hash, e.Spec, e.Summary)
+		c.mu.Lock()
+		if err != nil {
+			c.record(JournalRecord{Kind: "store_error", Key: j.key, Hash: j.hash, Error: err.Error()})
+			if c.jerr == nil {
+				c.jerr = err
+			}
+		}
+	}
+	c.writing = false
+	c.idle.Broadcast()
 }
 
 // requeueOrFailLocked applies the retry policy to a job whose attempt was

@@ -17,8 +17,12 @@
 //     shareable across machines with different worker/core counts.
 //   - The shared result corpus is a runner.Cache: the same on-disk layout
 //     as a local .runcache, fed by every worker's pushed results. A
-//     submitted job whose hash is already in the corpus is satisfied
-//     without dispatch — cache hits short-circuit the queue entirely.
+//     completion is acknowledged, then stored: the coordinator keeps the
+//     summary in memory and answers at once, and its corpus writer stores
+//     the entry after the answer, off the worker's path to its next
+//     lease (Close drains it). A submitted job whose hash is already in
+//     the corpus is satisfied without dispatch — cache hits short-circuit
+//     the queue entirely.
 //   - Reliability is lease-based. A worker holds each job under a TTL'd
 //     lease and renews it from inside the runner's heartbeat hook; a
 //     worker that dies simply stops heartbeating, its lease lapses, and
@@ -42,7 +46,10 @@
 //     a row of its sweep changes. A cursor from another lifetime gets the
 //     full table, so Client.RunSweep — which fetches the full table once,
 //     then long-polls deltas and merges them by key — rides out a
-//     coordinator restart without missing a row.
+//     coordinator restart without missing a row. RunSweep fetches results
+//     as rows land: each done or cached row's result is fetched once,
+//     during the sweep, so only the last answer's rows are left to fetch
+//     when it completes.
 //
 // See DESIGN.md's "Sweep farm" chapter for the endpoint, lease, and
 // state-machine reference, and examples/farm for a runnable walkthrough.

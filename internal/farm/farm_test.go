@@ -137,10 +137,6 @@ func TestFarmLifecycle(t *testing.T) {
 	if res.Summary == nil || res.Summary.Cycles != 12345 {
 		t.Fatalf("result: %+v", res)
 	}
-	// The pushed result must be in the shared corpus, not just in memory.
-	if _, ok := runner.NewCache(co.cfg.CacheDir).Load(lease.Hash); !ok {
-		t.Fatal("completed summary must land in the corpus directory")
-	}
 
 	// The pending job's result is not ready; a bogus hash is not found.
 	bHash, _ := jobs[1].Spec.Hash()
@@ -152,6 +148,16 @@ func TestFarmLifecycle(t *testing.T) {
 	}
 	if _, err := cl.Sweep(ctx, "nope"); errCode(t, err) != api.CodeNotFound {
 		t.Fatalf("missing sweep: %v", err)
+	}
+
+	// Complete answers before the corpus writer stores the summary, and
+	// Close drains the writer: after it, the pushed result must be in the
+	// shared corpus, not just in memory.
+	if err := co.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := runner.NewCache(co.cfg.CacheDir).Load(lease.Hash); !ok {
+		t.Fatal("completed summary must land in the corpus directory")
 	}
 }
 

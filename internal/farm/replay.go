@@ -25,12 +25,15 @@ import (
 //	{"kind":"queued","key":K,"hash":H,"spec":{...},"attempts":N}        in queue order
 //	{"kind":"lease","key":K,"hash":H,"spec":{...},"lease":L,"worker":W,"attempts":N}  per live lease, sorted by lease ID
 //
-// done jobs compact to "cached": their summaries live in the corpus, and
-// "satisfied by the corpus, never dispatched" is exactly what holds for
-// the journal's next reader. Live leases compact to lease records; replay
-// treats any lease with no terminal record as lost to the restart and
-// requeues it under the ordinary retry policy (the old worker's heartbeat
-// answers lease_gone, aborting its attempt).
+// done jobs compact to "cached": their summaries live in the corpus (Close
+// drains the corpus writer before it compacts), and "satisfied by the
+// corpus, never dispatched" is exactly what holds for the journal's next
+// reader. A done job whose corpus write never happened (the coordinator
+// died between acknowledging and storing it) replays to queued and runs
+// once more. Live leases compact to lease records; replay treats any
+// lease with no terminal record as lost to the restart and requeues it
+// under the ordinary retry policy (the old worker's heartbeat answers
+// lease_gone, aborting its attempt).
 
 // replayLocked rebuilds coordinator state from journal records, in order.
 // It runs once, from NewCoordinator, before the coordinator serves

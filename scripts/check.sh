@@ -23,11 +23,17 @@
 # internal/cpu/advance_test.go. The simulation loop's fuzz target then runs
 # for 15 s: it checks the lazy-core loop, fast-forward included, against a
 # reference loop that steps every core through every cycle, on fuzzed
-# configs, in internal/sim/loop_test.go.
+# configs, in internal/sim/loop_test.go. The farm's request fuzz target
+# then runs for 10 s: it sends fuzzed bodies to the coordinator's POST
+# routes and checks that none panics, that every error answer is a typed
+# envelope with a known code, and that the job census adds up, in
+# internal/farm/handler_test.go.
 #
-# The farm's long-poll tests (sweep-status and lease long-polls, RunSweep,
-# Shutdown unparking) then run ten more times under -race: they park and
-# wake goroutines, so a leak or a lost wake-up shows up as a flake there.
+# The farm's long-poll and corpus-writer tests (sweep-status and lease
+# long-polls, RunSweep and its result fetches, Shutdown unparking, Close
+# draining the corpus writer, replay of a result acknowledged but never
+# stored) then run ten more times under -race: they park and wake
+# goroutines, so a leak or a lost wake-up shows up as a flake there.
 #
 # The chaos suite (injected panics, hangs, mid-sweep cancellation) runs
 # last with -count=3 to shake out flakes; it is non-gating so a flaky
@@ -52,5 +58,6 @@ go run ./cmd/experiments -ablations -ops 15000 -bench pr,mcf,lbm,cc,bwaves | dif
 go test -run '^$' -fuzz '^FuzzSchedulerMatchesReference$' -fuzztime 30s ./internal/dram/
 go test -run '^$' -fuzz '^FuzzAdvanceMatchesCycle$' -fuzztime 15s ./internal/cpu/
 go test -run '^$' -fuzz '^FuzzLoopMatchesReference$' -fuzztime 15s ./internal/sim/
-go test -race -count=10 -run 'TestSweepLongPoll|TestRunSweep|TestChaosShutdownDrainsParked|TestFarmLongPollWake' ./internal/farm/
+go test -run '^$' -fuzz '^FuzzHandlerRequests$' -fuzztime 10s ./internal/farm/
+go test -race -count=10 -run 'TestSweepLongPoll|TestRunSweep|TestChaosShutdownDrainsParked|TestFarmLongPollWake|TestCorpusWriterDrainsOnClose|TestReplayRequeuesDoneWithoutEntry' ./internal/farm/
 go test -count=3 -run 'TestChaos' ./internal/runner/... ./internal/farm/... || echo "chaos suite: FAILED (non-gating)" >&2
