@@ -2,7 +2,8 @@
 // for every on-chip metadata structure in the paper: the counter/tree
 // metadata cache (shared or partitioned per enclave), the separate MAC cache
 // of the VAULT baseline, and the parity cache (a coalescing write buffer
-// with per-word dirty bits for masked write transfers).
+// whose dirty state is one bit per line: an evicted dirty line goes back to
+// DRAM as one whole-line write).
 //
 // The cache stores line addresses only; functional payloads, when needed,
 // live in the per-line Aux word managed by the caller.
@@ -41,10 +42,6 @@ type Line struct {
 	Addr  uint64 // line-aligned address (tag+index)
 	Valid bool
 	Dirty bool
-	// SubDirty holds one dirty bit per 8-byte word, used by the parity
-	// cache to issue masked write transfers (MWT) covering only modified
-	// parity words.
-	SubDirty uint8
 	// Aux is caller-managed per-line state (e.g. the parity diff state of a
 	// shared-parity cache entry).
 	Aux uint64

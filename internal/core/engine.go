@@ -24,9 +24,6 @@ type Config struct {
 	// metadata regions are laid out above it. The total must fit in the
 	// policy's geometry.
 	DataPages uint64
-	// SpillLimit bounds the engine's internal transaction buffer; Access
-	// backpressures when it is exceeded. Default 64.
-	SpillLimit int
 	// StrictVerify makes data reads complete only after every metadata
 	// read they triggered has returned (no speculative verification). The
 	// paper's baselines hide verification latency behind speculation
@@ -45,7 +42,7 @@ type Engine struct {
 	scheme Scheme
 
 	// traffic is the scheme family's metadata-traffic strategy (nil for
-	// the non-secure baseline); see traffic.go and the backend registry.
+	// the non-secure baseline); see traffic.go.
 	traffic TrafficModel
 
 	// trees[i] is enclave i's tree under isolation; trees[0] is the single
@@ -123,20 +120,20 @@ const MaxCores = 1 << tokenCoreBits
 // TokenCore returns the core that issued the read identified by token.
 func TokenCore(token uint64) int { return int(token & (MaxCores - 1)) }
 
+// spillLimit bounds the spill ring: Access backpressures once it holds
+// this many transactions.
+const spillLimit = 64
+
 // counterSim abstracts the counter-value simulation used for overflow
 // accounting: the rebase-only CounterStore or the bit-exact MorphableStore.
 type counterSim interface {
 	Write(localBlock uint64) bool
-	Value(localBlock uint64) uint64
 	OverflowCount() uint64
 }
 
 // New builds an engine. The DRAM memory and enclave system are owned by the
 // caller (the simulator) so experiments can inspect them directly.
 func New(cfg Config, dmem *dram.Memory, encl *enclave.System) (*Engine, error) {
-	if cfg.SpillLimit <= 0 {
-		cfg.SpillLimit = 64
-	}
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("core: need at least one core")
 	}
@@ -276,7 +273,7 @@ func (e *Engine) OverflowPenaltyCycles() uint64 {
 }
 
 // Backpressured reports whether Access would currently be rejected.
-func (e *Engine) Backpressured() bool { return e.spillLen >= e.cfg.SpillLimit }
+func (e *Engine) Backpressured() bool { return e.spillLen >= spillLimit }
 
 // Pending reports in-flight work (spill + DRAM queues + unresolved fault
 // corrections), so the simulation drains every repair before finishing.
@@ -444,7 +441,7 @@ func (e *Engine) handleParity(treeIdx int, local uint64, pa mem.PhysAddr, id mem
 					e.tr.Instant(e.trTracks[core], "parity.rmw")
 				}
 			}
-			// Masked write transfer of the dirty parity words.
+			// The evicted parity line goes back as one whole-line write.
 			e.pushWrite(mem.PhysAddr(ev.Line.Addr), mem.KindParity, id, core)
 		}
 	case ParityEmbedded:

@@ -9,25 +9,27 @@ import (
 )
 
 // TestSpillRingOrder pushes far more transactions than the DRAM queue can
-// absorb, forcing spills across several ring growths, then drains and checks
-// that completions arrive in issue order. The DRAM model under FRFCFS can
-// reorder within its queue, so the test uses a serializing single-bank
-// row-hit stream where FRFCFS degenerates to FCFS.
+// absorb, forcing spills across several ring growths, then drains them
+// through Engine.Tick and checks that completions arrive in issue order.
+// The DRAM model under FRFCFS can reorder within its queue, so the test
+// uses a serializing single-bank row-hit stream where FRFCFS degenerates
+// to FCFS. Each transaction carries an access group, so Tick's tokens give
+// the completion order.
 func TestSpillRingOrder(t *testing.T) {
 	geom := addrmap.DefaultGeometry(1)
 	pol, err := addrmap.ByName("rank", geom)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dmem := dram.New(dram.DefaultConfig(1))
-	e := &Engine{cfg: Config{Policy: pol, SpillLimit: 1 << 20}, mem: dmem}
+	e := &Engine{cfg: Config{Policy: pol}, mem: dram.New(dram.DefaultConfig(1))}
 
 	const n = 300 // DRAM read queue default is far smaller, so most spill
 	for i := 0; i < n; i++ {
 		txn := e.newTxn()
 		*txn = dram.Txn{
-			Op:  mem.Op{Type: mem.Read, Kind: mem.KindData, Addr: mem.PhysAddr(i)},
-			Loc: addrmap.Location{Column: i % geom.ColumnsPerRow},
+			Op:      mem.Op{Type: mem.Read, Kind: mem.KindData, Addr: mem.PhysAddr(i)},
+			Loc:     addrmap.Location{Column: i % geom.ColumnsPerRow},
+			GroupID: e.allocGroup(uint64(i)<<tokenCoreBits, 0),
 		}
 		e.push(txn)
 	}
@@ -35,34 +37,27 @@ func TestSpillRingOrder(t *testing.T) {
 		t.Fatal("expected spill: DRAM queue absorbed all transactions")
 	}
 
-	var got []mem.PhysAddr
-	var buf []*dram.Txn
+	var got []uint64
 	for cycle := 0; cycle < 1_000_000 && len(got) < n; cycle++ {
-		for e.spillLen > 0 && e.mem.Enqueue(e.spill[e.spillHead]) {
-			e.spill[e.spillHead] = nil
-			e.spillHead = (e.spillHead + 1) & (len(e.spill) - 1)
-			e.spillLen--
-		}
-		done, _ := dmem.Tick(buf[:0])
-		buf = done[:0]
-		for _, txn := range done {
-			got = append(got, txn.Op.Addr)
-		}
+		got, _ = e.Tick(got)
 	}
 	if len(got) != n {
 		t.Fatalf("only %d/%d transactions completed", len(got), n)
 	}
-	for i, a := range got {
-		if a != mem.PhysAddr(i) {
-			t.Fatalf("completion %d: addr %d, want %d (issue order violated)", i, a, i)
+	for i, tok := range got {
+		if tok>>tokenCoreBits != uint64(i) {
+			t.Fatalf("completion %d: transaction %d (issue order violated)", i, tok>>tokenCoreBits)
 		}
+	}
+	if e.spillLen != 0 || e.Pending() != 0 {
+		t.Fatalf("%d spilled, %d pending after the drain", e.spillLen, e.Pending())
 	}
 }
 
 // TestSpillRingGrowth checks the ring re-linearizes correctly when it grows
 // while head is mid-buffer (wrapped entries must keep their order).
 func TestSpillRingGrowth(t *testing.T) {
-	e := &Engine{cfg: Config{SpillLimit: 1 << 20}}
+	e := &Engine{}
 	// Seed a small ring and advance head so entries wrap.
 	e.spill = make([]*dram.Txn, 4)
 	e.spillHead = 3

@@ -23,19 +23,10 @@ type TrafficModel interface {
 	OnAccess(e *Engine, core int, pa mem.PhysAddr, pte enclave.PTE, isWrite bool, id mem.EnclaveID, gid uint32) (macMissed bool, treeDepth int)
 }
 
-// trafficFor resolves the traffic model of a scheme. Registered backends
-// take precedence via the optional TrafficProvider hook; schemes carrying
-// a name outside the registry (runspec SchemeOverride ablations) fall back
-// on the structural fields, so overridden variants of the new families
-// still route to the right model.
+// trafficFor resolves the traffic model of a scheme from its structural
+// fields alone, so a runspec SchemeOverride variant of a family routes to
+// the same model as the scheme it was derived from.
 func trafficFor(s Scheme) TrafficModel {
-	if b, ok := Lookup(s.Name); ok {
-		if tp, ok := b.(TrafficProvider); ok {
-			if m := tp.Traffic(s); m != nil {
-				return m
-			}
-		}
-	}
 	switch {
 	case s.KeyDomains > 0:
 		return tmeboxTraffic{}
@@ -47,9 +38,8 @@ func trafficFor(s Scheme) TrafficModel {
 
 // treeTraffic is the paper's standard pipeline shared by every
 // VAULT/Synergy/ITESP variant: optional separate MAC region, counter /
-// integrity-tree walk, and the scheme's parity mode. The layout and access
-// sequences are the pre-registry engine code moved verbatim — the golden
-// cycle-equivalence captures pin them bit-identical.
+// integrity-tree walk, and the scheme's parity mode. The golden
+// cycle-equivalence captures pin its layout and access sequences.
 type treeTraffic struct{}
 
 func (treeTraffic) Layout(e *Engine, dataBlocks uint64, next mem.PhysAddr) mem.PhysAddr {
@@ -120,7 +110,7 @@ func (treeTraffic) OnAccess(e *Engine, core int, pa mem.PhysAddr, pte enclave.PT
 // servasTraffic models SERVAS-style treeless authenticryption: every data
 // block carries a MAC-with-tweak that provides integrity directly, so the
 // only metadata region is the MAC region and a data access never walks a
-// tree. The whole cache budget goes to the MAC cache (the backend sets
+// tree. The whole cache budget goes to the MAC cache (the scheme sets
 // MACCacheKB to the full budget and MetaCacheKB to zero).
 type servasTraffic struct{}
 

@@ -15,8 +15,8 @@ import (
 )
 
 // Fig8Schemes are the eight secure configurations of Figure 8, in order —
-// derived from the backend registry's "fig8" tag, so a backend registered
-// with that tag joins the figure without touching this package.
+// derived from the scheme table's "fig8" tag, so a scheme added with that
+// tag joins the figure without touching this package.
 var Fig8Schemes = core.NamesTagged("fig8")
 
 // SchemeResult is one scheme's summary across benchmarks.
@@ -216,7 +216,7 @@ func fig10Artifact(o Options) artifact {
 }
 
 // Fig11Schemes are the Morphable-Counter configurations of Figure 11,
-// derived from the backend registry's "fig11" tag.
+// derived from the scheme table's "fig11" tag.
 var Fig11Schemes = core.NamesTagged("fig11")
 
 // Fig11 reproduces Figure 11: execution time (including local-counter

@@ -9,10 +9,10 @@ import (
 	"repro/internal/workload"
 )
 
-// SweepSchemes runs every registered secure backend — the Figure 8 and
-// Figure 11 families plus the post-paper ones (SERVAS, TME-Box) — through
-// the normalized-execution-time machinery: one N-scheme comparison where N
-// is whatever the registry holds, which is the ROADMAP's "every figure
+// SweepSchemes runs every secure scheme — the Figure 8 and Figure 11
+// families plus the post-paper ones (SERVAS, TME-Box) — through the
+// normalized-execution-time machinery: one N-scheme comparison where N is
+// whatever the scheme table holds, which is the ROADMAP's "every figure
 // becomes an N-scheme comparison for free" unlock. Defaults to the top-15
 // memory-intensive benchmarks at the paper's 4-core / 1-channel system.
 func SweepSchemes(o Options) (*Fig8Result, error) { return runOne[*Fig8Result](o, "scheme_sweep") }

@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 )
 
-// TestSweepSchemesCoversRegistry drives every registered backend —
+// TestSweepSchemesCoversRegistry drives every scheme in the table —
 // including the post-paper servas/tmebox families — end to end through the
 // Fig 8 sweep machinery and checks the structural expectations: every
 // secure scheme produces a normalized time, treeless authenticryption

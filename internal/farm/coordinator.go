@@ -114,6 +114,7 @@ type Coordinator struct {
 	journal   *journal
 	jerr      error // first journal or corpus write error (reported by Close)
 	compacted int64 // journal size right after the last compaction
+	closed    bool  // Close has compacted and closed the journal
 
 	// The corpus writer. Complete queues each done job on stores and
 	// answers at once; one goroutine at a time (writing is true while it
@@ -194,13 +195,18 @@ func (c *Coordinator) Shutdown() {
 // Close waits for the corpus writer to store every queued result, then
 // compacts the journal down to the live state and closes it, reporting the
 // first journal or corpus write error encountered during the coordinator's
-// lifetime.
+// lifetime. A second Close waits for the corpus writer again but leaves the
+// journal file alone, and reports that same first error.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for c.writing {
 		c.idle.Wait()
 	}
+	if c.closed {
+		return c.jerr
+	}
+	c.closed = true
 	c.compactLocked()
 	err := c.journal.close()
 	if c.jerr != nil {

@@ -111,7 +111,12 @@ func TestE2EFarmMatchesInProcess(t *testing.T) {
 	}
 
 	// The worker's local cache converged with the corpus: every executed
-	// hash is resolvable on both sides.
+	// hash is resolvable on both sides. Complete answers before the corpus
+	// writer stores the entry, so Close (which drains the writer) comes
+	// first.
+	if err := co.Close(); err != nil {
+		t.Fatal(err)
+	}
 	local := runner.NewCache(workerCache)
 	shared := runner.NewCache(corpus)
 	for _, j := range jobs {
@@ -122,9 +127,6 @@ func TestE2EFarmMatchesInProcess(t *testing.T) {
 		if _, ok := shared.Load(h); !ok {
 			t.Fatalf("%s: missing from the coordinator corpus", j.Key)
 		}
-	}
-	if err := co.Close(); err != nil {
-		t.Fatal(err)
 	}
 
 	// A fresh coordinator lifetime over the same corpus: the identical

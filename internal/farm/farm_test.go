@@ -1,9 +1,11 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -158,6 +160,21 @@ func TestFarmLifecycle(t *testing.T) {
 	}
 	if _, ok := runner.NewCache(co.cfg.CacheDir).Load(lease.Hash); !ok {
 		t.Fatal("completed summary must land in the corpus directory")
+	}
+	// A second Close succeeds and leaves the closed journal as it was.
+	before, err := os.ReadFile(JournalPath(co.cfg.CacheDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	after, err := os.ReadFile(JournalPath(co.cfg.CacheDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("a second Close rewrote the journal")
 	}
 }
 

@@ -50,3 +50,31 @@ func BenchmarkVerifiedRead(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCounterStoreWrite measures the counter write path (leaf lookup +
+// local increment) — zero allocations at steady state.
+func BenchmarkCounterStoreWrite(b *testing.B) {
+	s := NewCounterStore(ITESP128())
+	for i := 0; i < 1<<16; i++ {
+		s.Write(uint64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Write(uint64(i) & (1<<16 - 1))
+	}
+}
+
+// BenchmarkMorphableStoreWrite measures the bit-exact morphable counter
+// write path.
+func BenchmarkMorphableStoreWrite(b *testing.B) {
+	s := NewMorphableStore(ITESP128())
+	for i := 0; i < 1<<16; i++ {
+		s.Write(uint64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Write(uint64(i) & (1<<16 - 1))
+	}
+}

@@ -16,7 +16,7 @@ import (
 type CounterStore struct {
 	geom  Geometry
 	cap   uint64 // 2^LocalCounterBits
-	nodes pagedPtr[nodeCounters]
+	nodes map[uint64]*nodeCounters
 
 	// Writes counts counter increments; Overflows counts re-encryption
 	// events; Rebases counts cheap global-counter rebases.
@@ -33,15 +33,19 @@ type nodeCounters struct {
 // NewCounterStore creates an empty store for the given tree geometry.
 func NewCounterStore(geom Geometry) *CounterStore {
 	return &CounterStore{
-		geom: geom,
-		cap:  1 << uint(geom.LocalCounterBits),
+		geom:  geom,
+		cap:   1 << uint(geom.LocalCounterBits),
+		nodes: map[uint64]*nodeCounters{},
 	}
 }
 
 func (s *CounterStore) node(leaf uint64) *nodeCounters {
-	return s.nodes.GetOrCreate(leaf, func() *nodeCounters {
-		return &nodeCounters{locals: make([]uint64, s.geom.LeafArity)}
-	})
+	n := s.nodes[leaf]
+	if n == nil {
+		n = &nodeCounters{locals: make([]uint64, s.geom.LeafArity)}
+		s.nodes[leaf] = n
+	}
+	return n
 }
 
 func (s *CounterStore) slot(localBlock uint64) (leaf uint64, slot int) {
@@ -52,7 +56,7 @@ func (s *CounterStore) slot(localBlock uint64) (leaf uint64, slot int) {
 // increasing (base, local) encoding used in MAC computation.
 func (s *CounterStore) Value(localBlock uint64) uint64 {
 	leaf, slot := s.slot(localBlock)
-	n := s.nodes.Get(leaf)
+	n := s.nodes[leaf]
 	if n == nil {
 		return 0
 	}

@@ -288,12 +288,12 @@ func DecodeMorphable(data []byte, arity, payloadBits int) (*MorphableBlock, erro
 	return b, nil
 }
 
-// MorphableStore adapts MorphableBlocks to the CounterSim interface used by
-// the engine, one node per integrity-tree leaf.
+// MorphableStore adapts MorphableBlocks to the counter-store interface used
+// by the engine, one node per integrity-tree leaf.
 type MorphableStore struct {
 	geom    Geometry
 	payload int
-	nodes   pagedPtr[MorphableBlock]
+	nodes   map[uint64]*MorphableBlock
 
 	Writes    stats.Counter
 	Overflows stats.Counter
@@ -310,13 +310,17 @@ func NewMorphableStore(geom Geometry) *MorphableStore {
 	return &MorphableStore{
 		geom:    geom,
 		payload: payload,
+		nodes:   map[uint64]*MorphableBlock{},
 	}
 }
 
 func (s *MorphableStore) node(leaf uint64) *MorphableBlock {
-	return s.nodes.GetOrCreate(leaf, func() *MorphableBlock {
-		return NewMorphableBlock(s.geom.LeafArity, s.payload)
-	})
+	n := s.nodes[leaf]
+	if n == nil {
+		n = NewMorphableBlock(s.geom.LeafArity, s.payload)
+		s.nodes[leaf] = n
+	}
+	return n
 }
 
 // Write increments the counter of a tree-local block and reports overflow.
@@ -334,7 +338,7 @@ func (s *MorphableStore) Write(localBlock uint64) bool {
 // Value returns the counter of a tree-local block.
 func (s *MorphableStore) Value(localBlock uint64) uint64 {
 	leaf := localBlock / uint64(s.geom.LeafArity)
-	n := s.nodes.Get(leaf)
+	n := s.nodes[leaf]
 	if n == nil {
 		return 0
 	}

@@ -35,13 +35,12 @@ type VerifiedMemory struct {
 	counters *CounterStore
 
 	// Untrusted ("in DRAM") state, open to tampering via the Corrupt*
-	// helpers. Paged dense stores (paged.go) replace the former maps: tree
-	// and block indices are dense, so radix pages beat hashing on the
-	// fault-injection sweeps that read and corrupt millions of entries.
-	data     pagedPtr[[mem.BlockSize]byte]
-	macStore pagedU64
-	hashes   []pagedU64 // per tree level: node index -> embedded hash
-	parities pagedU64   // leaf*ParitiesPerLeaf+slot -> field (ITESP)
+	// helpers. An absent key is a block or node never written since
+	// enclave creation, which is distinct from a stored zero.
+	data     map[uint64][mem.BlockSize]byte
+	macStore map[uint64]uint64
+	hashes   []map[uint64]uint64 // per tree level: node index -> embedded hash
+	parities map[uint64]uint64   // leaf*ParitiesPerLeaf+slot -> field (ITESP)
 
 	// Trusted on-chip state.
 	rootCounter uint64
@@ -64,10 +63,14 @@ func NewVerifiedMemory(geom Geometry, dataBlocks uint64, macKey, treeKey mac.Key
 		enc:      encrypt.New(encKey),
 		blocks:   dataBlocks,
 		counters: NewCounterStore(geom),
-		hashes:   make([]pagedU64, len(t.levels)),
+		data:     map[uint64][mem.BlockSize]byte{},
+		macStore: map[uint64]uint64{},
+		hashes:   make([]map[uint64]uint64, len(t.levels)),
+		parities: map[uint64]uint64{},
 		levels:   t.levels,
 	}
 	for l := 0; l < len(t.levels); l++ {
+		vm.hashes[l] = map[uint64]uint64{}
 		vm.arities = append(vm.arities, geom.arityAt(l))
 	}
 	return vm
@@ -93,7 +96,7 @@ func (m *VerifiedMemory) leafFor(block uint64) uint64 {
 // the parent's dependence on all children.
 func (m *VerifiedMemory) nodeWords(level int, idx uint64) []uint64 {
 	if level == 0 {
-		nc := m.counters.nodes.Get(idx)
+		nc := m.counters.nodes[idx]
 		words := make([]uint64, 0, 2+m.geom.LeafArity+m.geom.ParitiesPerLeaf)
 		words = append(words, idx)
 		if nc != nil {
@@ -104,7 +107,7 @@ func (m *VerifiedMemory) nodeWords(level int, idx uint64) []uint64 {
 			words = append(words, make([]uint64, m.geom.LeafArity)...)
 		}
 		for p := 0; p < m.geom.ParitiesPerLeaf; p++ {
-			words = append(words, m.parities.Get(idx*uint64(m.geom.ParitiesPerLeaf)+uint64(p)))
+			words = append(words, m.parities[idx*uint64(m.geom.ParitiesPerLeaf)+uint64(p)])
 		}
 		return words
 	}
@@ -114,7 +117,7 @@ func (m *VerifiedMemory) nodeWords(level int, idx uint64) []uint64 {
 	words := make([]uint64, 0, arity+1)
 	words = append(words, idx)
 	for c := uint64(0); c < arity && first+c < m.levels[level-1].nodes; c++ {
-		words = append(words, m.hashes[level-1].Get(first+c))
+		words = append(words, m.hashes[level-1][first+c])
 	}
 	return words
 }
@@ -136,7 +139,7 @@ func (m *VerifiedMemory) recomputeHash(level int, idx uint64) uint64 {
 func (m *VerifiedMemory) refreshPath(leaf uint64) {
 	idx := leaf
 	for level := 0; level < len(m.levels); level++ {
-		m.hashes[level].Set(idx, m.recomputeHash(level, idx))
+		m.hashes[level][idx] = m.recomputeHash(level, idx)
 		idx /= uint64(m.arities[level])
 	}
 }
@@ -177,14 +180,13 @@ func (m *VerifiedMemory) Write(block uint64, data [mem.BlockSize]byte) (overflow
 	writeBlock := func(b uint64, plain [mem.BlockSize]byte) {
 		ct := m.enc.Encrypt(m.addrOf(b), m.counters.Value(b), plain)
 		if pi, ok := m.parityIndex(b); ok {
-			if old := m.data.Get(b); old != nil {
-				m.parities.Xor(pi, parity.BlockParity(old))
+			if old, ok := m.data[b]; ok {
+				m.parities[pi] ^= parity.BlockParity(&old)
 			}
-			m.parities.Xor(pi, parity.BlockParity(&ct))
+			m.parities[pi] ^= parity.BlockParity(&ct)
 		}
-		stored := m.data.GetOrCreate(b, func() *[mem.BlockSize]byte { return new([mem.BlockSize]byte) })
-		*stored = ct
-		m.macStore.Set(b, m.macs.Compute(m.addrOf(b), m.counters.Value(b), ct[:]))
+		m.data[b] = ct
+		m.macStore[b] = m.macs.Compute(m.addrOf(b), m.counters.Value(b), ct[:])
 	}
 
 	if overflowed {
@@ -195,8 +197,8 @@ func (m *VerifiedMemory) Write(block uint64, data [mem.BlockSize]byte) (overflow
 			if b == block || b >= m.blocks {
 				continue
 			}
-			if d := m.data.Get(b); d != nil {
-				plain := m.enc.Decrypt(m.addrOf(b), oldCtr[s], *d)
+			if d, ok := m.data[b]; ok {
+				plain := m.enc.Decrypt(m.addrOf(b), oldCtr[s], d)
 				writeBlock(b, plain)
 			}
 		}
@@ -217,7 +219,7 @@ func (m *VerifiedMemory) buildCiphertext(block uint64) [mem.BlockSize]byte {
 // block never written since enclave creation holds the build-time MAC of
 // its encrypted zero contents, which we materialize lazily.
 func (m *VerifiedMemory) storedMAC(block uint64) uint64 {
-	if v, ok := m.macStore.Lookup(block); ok {
+	if v, ok := m.macStore[block]; ok {
 		return v
 	}
 	ct := m.buildCiphertext(block)
@@ -231,10 +233,8 @@ func (m *VerifiedMemory) Read(block uint64) ([mem.BlockSize]byte, error) {
 	if block >= m.blocks {
 		return zero, fmt.Errorf("integrity: block %d out of range", block)
 	}
-	var ct [mem.BlockSize]byte
-	if d := m.data.Get(block); d != nil {
-		ct = *d
-	} else {
+	ct, ok := m.data[block]
+	if !ok {
 		ct = m.buildCiphertext(block)
 	}
 	if !m.macs.Verify(m.addrOf(block), m.counters.Value(block), ct[:], m.storedMAC(block)) {
@@ -245,7 +245,7 @@ func (m *VerifiedMemory) Read(block uint64) ([mem.BlockSize]byte, error) {
 		// A node never refreshed since enclave creation still holds its
 		// build-time hash; we skip recomputation for such pristine nodes
 		// (tampering with them creates an entry and is caught below).
-		if stored, touched := m.hashes[level].Lookup(idx); touched && stored != m.recomputeHash(level, idx) {
+		if stored, touched := m.hashes[level][idx]; touched && stored != m.recomputeHash(level, idx) {
 			return zero, fmt.Errorf("%w: tree hash mismatch at level %d node %d", ErrIntegrity, level, idx)
 		}
 		idx /= uint64(m.arities[level])
@@ -256,28 +256,24 @@ func (m *VerifiedMemory) Read(block uint64) ([mem.BlockSize]byte, error) {
 // RawData returns the stored (unverified) ciphertext of a block, as an
 // attacker with DRAM access would see it.
 func (m *VerifiedMemory) RawData(block uint64) [mem.BlockSize]byte {
-	if d := m.data.Get(block); d != nil {
-		return *d
-	}
-	return [mem.BlockSize]byte{}
+	return m.data[block]
 }
 
 // CorruptData flips one bit of the stored block without updating any
 // metadata (models tampering or a soft error).
 func (m *VerifiedMemory) CorruptData(block uint64, bit int) {
-	d := m.data.GetOrCreate(block, func() *[mem.BlockSize]byte { return new([mem.BlockSize]byte) })
-	*d = parity.FlipBit(*d, bit)
+	m.data[block] = parity.FlipBit(m.data[block], bit)
 }
 
 // CorruptMAC flips a bit of the stored MAC.
 func (m *VerifiedMemory) CorruptMAC(block uint64) {
-	m.macStore.Xor(block, 1)
+	m.macStore[block] ^= 1
 }
 
 // CorruptNodeHash flips a bit of a tree node's embedded hash (models
 // tampering with the integrity tree itself).
 func (m *VerifiedMemory) CorruptNodeHash(level int, idx uint64) {
-	m.hashes[level].Xor(idx, 1)
+	m.hashes[level][idx] ^= 1
 }
 
 // Snapshot captures a block's current untrusted state (data and MAC) so a
@@ -289,9 +285,8 @@ func (m *VerifiedMemory) Snapshot(block uint64) (data [mem.BlockSize]byte, macVa
 // Replay restores a previously captured (data, MAC) pair without touching
 // counters or the tree, as a malicious memory module would.
 func (m *VerifiedMemory) Replay(block uint64, data [mem.BlockSize]byte, macVal uint64) {
-	d := m.data.GetOrCreate(block, func() *[mem.BlockSize]byte { return new([mem.BlockSize]byte) })
-	*d = data
-	m.macStore.Set(block, macVal)
+	m.data[block] = data
+	m.macStore[block] = macVal
 }
 
 // EmbeddedParity returns the embedded parity field covering block, and
@@ -301,7 +296,7 @@ func (m *VerifiedMemory) EmbeddedParity(block uint64) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return m.parities.Get(pi), true
+	return m.parities[pi], true
 }
 
 // ParityGroup returns the other resident blocks whose data is XOR-ed into

@@ -56,7 +56,7 @@ func TestSpecHashesFrozen(t *testing.T) {
 	}
 }
 
-// TestRegistrySchemesRoundTrip drives every registered backend through the
+// TestRegistrySchemesRoundTrip drives every scheme in the table through the
 // runspec layer: the spec validates, hashes deterministically, resolves to
 // a sim.Config, and survives the FromSimConfig round trip — both by name
 // and as an explicit SchemeOverride.

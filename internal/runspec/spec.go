@@ -32,7 +32,8 @@ type Spec struct {
 	// best default.
 	Policy string `json:"policy,omitempty"`
 	// OpsPerCore is the number of memory operations per core (default
-	// 100k); WarmupOps per core run before stats collection.
+	// 100k). WarmupOps is added to each core's op count and measured like
+	// the rest: nothing is reset after it (see sim.Config.WarmupOps).
 	OpsPerCore uint64 `json:"ops_per_core,omitempty"`
 	WarmupOps  uint64 `json:"warmup_ops,omitempty"`
 	// Seed diversifies the per-core generators.

@@ -65,20 +65,34 @@ type loopOutput struct {
 	idle                                 uint64
 }
 
-// observedRun runs cfg through loop with every observer attached.
+// observedRun runs cfg through loop with every observer attached. It fails
+// on any DRAM protocol violation of the run's command stream, and on a
+// fault ledger in which injected != corrected + DUE + SDC + latent.
 func observedRun(t testing.TB, cfg Config, epoch uint64, loop func(*run) error) loopOutput {
 	t.Helper()
 	ob := obs.New(obs.Config{Metrics: true, EpochCycles: epoch, TraceCapacity: 1 << 12})
 	cfg.Obs = ob
 	r, err := newRun(cfg)
 	if err == nil {
+		checkers := r.dmem.AttachCheckers()
 		err = loop(r)
+		for ch, c := range checkers {
+			if !c.Ok() {
+				t.Fatalf("channel %d: %d DRAM protocol violations, first: %s", ch, len(c.Violations), c.Violations[0])
+			}
+		}
 	}
 	if err != nil {
 		return loopOutput{err: err.Error()}
 	}
 	out := loopOutput{idle: r.wd.idle}
-	sum, err := json.Marshal(r.result().Summarize())
+	summary := r.result().Summarize()
+	if summary.Faults != nil {
+		if err := summary.Faults.CheckInvariant(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum, err := json.Marshal(summary)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,11 @@ type Config struct {
 	// OpsPerCore is the number of memory operations simulated per core
 	// (the paper uses 5M; experiments here default lower for runtime).
 	OpsPerCore uint64
-	// WarmupOps per core are executed before stats collection.
+	// WarmupOps is added to each core's op count: a core runs
+	// OpsPerCore+WarmupOps ops, and no counter is reset after the first
+	// WarmupOps, so the warm-up ops are measured like the rest (ROADMAP,
+	// "Converge the headline numbers", decides whether this becomes a real
+	// warm-up or goes).
 	WarmupOps uint64
 	// Seed diversifies the per-core generators.
 	Seed int64

@@ -23,8 +23,11 @@
 # internal/cpu/advance_test.go. The simulation loop's fuzz target then runs
 # for 15 s: it checks the lazy-core loop, fast-forward included, against a
 # reference loop that steps every core through every cycle, on fuzzed
-# configs, in internal/sim/loop_test.go. The farm's request fuzz target
-# then runs for 10 s: it sends fuzzed bodies to the coordinator's POST
+# configs, in internal/sim/loop_test.go; both runs of each config also
+# pass every DRAM command through dram.Checker's protocol monitor, and a
+# run with a fault campaign must account for every injected fault
+# (injected = corrected + DUE + SDC + latent). The farm's request fuzz
+# target then runs for 10 s: it sends fuzzed bodies to the coordinator's POST
 # routes and checks that none panics, that every error answer is a typed
 # envelope with a known code, and that the job census adds up, in
 # internal/farm/handler_test.go.

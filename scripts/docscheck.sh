@@ -6,9 +6,9 @@
 #     undocumented.
 #  2. Link rot: every relative markdown link in the top-level docs must
 #     resolve to an existing file in the repository.
-#  3. Scheme-registry drift: every scheme in the backend registry
+#  3. Scheme-table drift: every scheme in internal/core's scheme table
 #     (`itespsim -list-schemes`) must appear in README.md's scheme table,
-#     so registering a backend without documenting it fails CI.
+#     so adding a scheme without documenting it fails CI.
 #  4. Farm endpoint drift: every route served by the coordinator
 #     (`simfarmd -routes`) must appear in DESIGN.md's "Sweep farm"
 #     endpoint table, so new API surface cannot ship undocumented.
@@ -53,7 +53,7 @@ for doc in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md CHANGES.md; do
     done
 done
 
-# --- 3. registered schemes are documented in README.md --------------------
+# --- 3. every scheme in the table is documented in README.md -------------
 schemes=$(go run ./cmd/itespsim -list-schemes | awk '{print $1}')
 if [ -z "$schemes" ]; then
     echo "docscheck: 'itespsim -list-schemes' produced no schemes" >&2
@@ -63,7 +63,7 @@ for s in $schemes; do
     # Scheme names appear in backticks in README's scheme table; names can
     # contain '+', so match as a fixed string.
     if ! grep -qF "\`$s\`" README.md; then
-        echo "docscheck: scheme $s (registered in internal/core) is not documented in README.md" >&2
+        echo "docscheck: scheme $s (in internal/core's scheme table) is not documented in README.md" >&2
         fail=1
     fi
 done
