@@ -62,7 +62,7 @@ const (
 func Routes() []Route {
 	return []Route{
 		{Method: "POST", Path: PathSubmit, Doc: "submit a sweep (idempotent by content hash); returns the sweep ID"},
-		{Method: "GET", Path: PathSweep, Doc: "sweep status: counts, a cursor, per-job rows (?since=CURSOR: only rows changed since; &wait_ms=N: long-poll until one changes; {sweep} suffix)"},
+		{Method: "GET", Path: PathSweep, Doc: "sweep status: counts, a cursor, per-job rows, done ones with their summaries (?since=CURSOR: only rows changed since; &wait_ms=N: long-poll until one changes; {sweep} suffix)"},
 		{Method: "GET", Path: PathResult, Doc: "one run's summary by spec content hash ({hash} suffix)"},
 		{Method: "POST", Path: PathLease, Doc: "long-poll lease of the next queued job (worker pull)"},
 		{Method: "POST", Path: PathHeartbeat, Doc: "renew a live lease before its TTL lapses"},
@@ -200,24 +200,30 @@ const (
 	StateFailed = "failed" // terminal failure (retries exhausted or non-retryable)
 )
 
-// JobStatus is one job's row in a sweep status report.
+// JobStatus is one job's row in a sweep status report. A done or cached
+// row carries the job's summary, the one GET PathResult serves for its
+// hash, so a client following a sweep needs no result request; rows in
+// other states carry none.
 type JobStatus struct {
-	Key      string `json:"key"`
-	Hash     string `json:"hash"`
-	State    string `json:"state"`
-	Attempts int    `json:"attempts,omitempty"`
-	Worker   string `json:"worker,omitempty"`
-	Error    string `json:"error,omitempty"`
+	Key      string       `json:"key"`
+	Hash     string       `json:"hash"`
+	State    string       `json:"state"`
+	Attempts int          `json:"attempts,omitempty"`
+	Worker   string       `json:"worker,omitempty"`
+	Error    string       `json:"error,omitempty"`
+	Summary  *sim.Summary `json:"summary,omitempty"`
 }
 
 // SweepStatus is the state of one sweep. The counts cover every job;
 // Complete is true once every job is terminal (done, cached, or failed).
 // Jobs holds every row, or — when the request carried a since cursor from
 // the same coordinator lifetime — only the rows whose job changed state
-// after that cursor. Cursor is opaque: pass it back as since to get the
-// next delta. A cursor from an earlier lifetime gets the full table. With
-// wait_ms, a delta request that would carry no rows parks until one of
-// the sweep's rows changes, the sweep is complete, or the window lapses.
+// after that cursor; done and cached rows carry their summaries, so each
+// result travels once, in the answer that first shows its row terminal.
+// Cursor is opaque: pass it back as since to get the next delta. A cursor
+// from an earlier lifetime gets the full table. With wait_ms, a delta
+// request that would carry no rows parks until one of the sweep's rows
+// changes, the sweep is complete, or the window lapses.
 type SweepStatus struct {
 	Sweep    string      `json:"sweep"`
 	Queued   int         `json:"queued"`

@@ -93,14 +93,14 @@ func NewClientOpts(addr string, opts ClientOptions) *Client {
 	base = strings.TrimRight(base, "/")
 	// No global timeout: lease and sweep-status long-polls legitimately
 	// hold a request open for tens of seconds. Per-call deadlines come
-	// from the context.
-	hc := &http.Client{}
-	if opts.TLS != nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.TLSClientConfig = opts.TLS
-		hc.Transport = tr
-	}
-	return &Client{base: base, http: hc, token: opts.Token, retry: opts.Retry.withDefaults()}
+	// from the context. Each client keeps its own connection pool: a
+	// worker holds two connections, one for its lease long-poll and one
+	// for its result push, and in a pool shared with other clients of the
+	// process (two idle connections per host) they would be closed and
+	// redialed over and over.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.TLSClientConfig = opts.TLS
+	return &Client{base: base, http: &http.Client{Transport: tr}, token: opts.Token, retry: opts.Retry.withDefaults()}
 }
 
 // NewClientFiles builds a client from CLI-style credential file paths: the
@@ -305,15 +305,14 @@ func (c *Client) Result(ctx context.Context, hash string) (*api.ResultResponse, 
 // of runner.Run. It fetches the full status table once, then long-polls
 // (for up to the coordinator's cap) for the rows changed since the
 // previous answer and merges them by key, so a sweep's status traffic
-// grows with its state changes, not with wall-clock time. Results are
-// fetched as rows land: each answer's rows that are done or cached and
-// have no result yet are fetched before the next long-poll, while the rest
-// of the sweep runs, so only the last answer's rows are left to fetch once
-// the sweep completes. onDone, when non-nil, is called once per key as
-// jobs reach terminal states (serialized, with monotonically increasing
-// done counts out of the sweep's size). Failed jobs are reported like the
-// runner reports them: one error per failed job, joined in first-seen key
-// order, with every missing key accounted for.
+// grows with its state changes, not with wall-clock time. Results ride in
+// the rows: a done or cached row carries its summary, so RunSweep makes no
+// result request, and a done or cached row without one is an error for
+// its key. onDone, when non-nil, is called once per key as jobs reach
+// terminal states (serialized, with monotonically increasing done counts
+// out of the sweep's size). Failed jobs are reported like the runner
+// reports them: one error per failed job, joined in first-seen key order,
+// with every missing key accounted for.
 func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func(done, total int, key string, cached bool)) (map[string]*sim.Summary, error) {
 	sub, err := c.Submit(ctx, jobs)
 	if err != nil {
@@ -321,8 +320,6 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 	}
 	rows := make(map[string]api.JobStatus, sub.Jobs) // the merged table
 	var keys []string                                // rows' keys, first-seen order
-	results := make(map[string]*sim.Summary, sub.Jobs)
-	fetchErrs := map[string]error{} // by key: the last failed result fetch
 	reported := map[string]bool{}
 	var cursor string // empty: the first fetch gets the full table at once
 	for {
@@ -351,31 +348,21 @@ func (c *Client) RunSweep(ctx context.Context, jobs []runspec.Named, onDone func
 				onDone(len(reported), sub.Jobs, j.Key, j.State == api.StateCached)
 			}
 		}
-		for _, j := range st.Jobs {
-			if (j.State != api.StateDone && j.State != api.StateCached) || results[j.Key] != nil {
-				continue
-			}
-			res, err := c.Result(ctx, j.Hash)
-			if err != nil {
-				fetchErrs[j.Key] = err
-				continue
-			}
-			results[j.Key] = res.Summary
-			delete(fetchErrs, j.Key)
-		}
 		if st.Complete {
 			break
 		}
 	}
 
+	results := make(map[string]*sim.Summary, len(keys))
 	var errs []error
 	for _, key := range keys {
-		j := rows[key]
-		if j.State == api.StateFailed {
-			delete(results, key)
+		switch j := rows[key]; {
+		case j.State == api.StateFailed:
 			errs = append(errs, fmt.Errorf("%s: %s", j.Key, j.Error))
-		} else if err := fetchErrs[key]; err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", j.Key, err))
+		case j.Summary == nil:
+			errs = append(errs, fmt.Errorf("%s: %s row carries no summary", j.Key, j.State))
+		default:
+			results[key] = j.Summary
 		}
 	}
 	return results, errors.Join(errs...)

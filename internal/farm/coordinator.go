@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs/sweep"
 	"repro/internal/runner"
 	"repro/internal/runspec"
+	"repro/internal/sim"
 )
 
 // Config parameterizes a Coordinator.
@@ -295,6 +296,26 @@ func (c *Coordinator) Submit(jobs []runspec.Named) (*api.SubmitResponse, error) 
 	}
 	id := runspec.SweepID(hashes)
 
+	// Read the corpus entries of the hashes the coordinator does not know
+	// before taking the lock for the table updates, so no lease or status
+	// request waits on these file reads. A hash that a concurrent Submit
+	// registers in between is shared below; its entry read here goes
+	// unused.
+	c.mu.Lock()
+	var unknown []string
+	for h := range specs {
+		if c.jobs[h] == nil {
+			unknown = append(unknown, h)
+		}
+	}
+	c.mu.Unlock()
+	corpus := make(map[string]*sim.Summary, len(unknown))
+	for _, h := range unknown {
+		if sum, ok := c.cache.Load(h); ok {
+			corpus[h] = sum
+		}
+	}
+
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -320,7 +341,7 @@ func (c *Coordinator) Submit(jobs []runspec.Named) (*api.SubmitResponse, error) 
 			// Spec rides in the journal record so a restarted coordinator
 			// can re-lease (or re-serve) the job from the journal alone.
 			sp := j.spec
-			if sum, ok := c.cache.Load(h); ok {
+			if sum, ok := corpus[h]; ok {
 				// Corpus hit: the sweep short-circuits dispatch entirely.
 				c.setState(j, api.StateCached)
 				j.summary = &runner.Entry{Hash: h, Spec: j.spec.Normalized(), Summary: sum}
@@ -571,7 +592,8 @@ func (c *Coordinator) StartExpiry(ctx context.Context, interval time.Duration) {
 }
 
 // Sweep reports the state of a submitted sweep: counts over all its jobs,
-// and per-job rows in submission order under that sweep's own keys. A
+// and per-job rows in submission order under that sweep's own keys, done
+// and cached rows with their summaries. A
 // query with an empty or foreign since cursor (see parseSweepQuery) gets
 // every row; a cursor from this lifetime gets only the rows whose job
 // changed state after it was minted. A delta that would carry no rows for
@@ -625,7 +647,13 @@ func (c *Coordinator) sweepLocked(id string, q sweepQuery) (*api.SweepStatus, er
 		if q.delta && j.ver <= q.after {
 			continue
 		}
-		out.Jobs = append(out.Jobs, api.JobStatus{Key: st.keys[i], Hash: h, State: j.state, Attempts: j.attempts, Worker: j.worker, Error: j.errText})
+		row := api.JobStatus{Key: st.keys[i], Hash: h, State: j.state, Attempts: j.attempts, Worker: j.worker, Error: j.errText}
+		if j.summary != nil {
+			// Only done and cached jobs hold one, and it is never mutated,
+			// so the answer is encoded after c.mu is released.
+			row.Summary = j.summary.Summary
+		}
+		out.Jobs = append(out.Jobs, row)
 	}
 	out.Cursor = c.cursor(c.ver)
 	return out, nil

@@ -2,12 +2,14 @@ package farm
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -217,11 +219,12 @@ func TestCorpusStoreError(t *testing.T) {
 	}
 }
 
-// TestRunSweepFetchesEachResultOnce: RunSweep fetches each done or cached
-// row's result exactly once, never a failed row's, and some before the
-// sweep is complete (as their rows land); it reports failed rows in
+// TestRunSweepTakesResultsFromRows: RunSweep makes no result request; each
+// summary it returns arrives in a status row and equals what
+// GET /v1/results/{hash} serves for its hash; some rows carry their
+// summaries before the sweep is complete; failed rows are reported in
 // first-seen key order with their errors.
-func TestRunSweepFetchesEachResultOnce(t *testing.T) {
+func TestRunSweepTakesResultsFromRows(t *testing.T) {
 	dir := t.TempDir()
 	warm := protoJob("warm", 9)
 	wh, _ := warm.Spec.Hash()
@@ -232,21 +235,24 @@ func TestRunSweepFetchesEachResultOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	fetches := map[string]int{}
-	var early int // fetches while a job is still queued or leased
+	var results, early atomic.Int32 // early: summaries in answers of an incomplete sweep
 	h := Handler(co)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, api.PathResult) {
-			s := co.Snapshot()
-			mu.Lock()
-			fetches[strings.TrimPrefix(r.URL.Path, api.PathResult)]++
-			if s.Queued+s.Leased > 0 {
-				early++
+		if r.Method != http.MethodGet || !strings.HasPrefix(r.URL.Path, api.PathSweep) {
+			if strings.HasPrefix(r.URL.Path, api.PathResult) {
+				results.Add(1)
 			}
-			mu.Unlock()
+			h.ServeHTTP(w, r)
+			return
 		}
-		h.ServeHTTP(w, r)
+		var st api.SweepStatus
+		if err := json.Unmarshal(relay(h, w, r), &st); err == nil && !st.Complete {
+			for _, j := range st.Jobs {
+				if j.Summary != nil {
+					early.Add(1)
+				}
+			}
+		}
 	}))
 	t.Cleanup(func() {
 		srv.Close()
@@ -293,24 +299,208 @@ func TestRunSweepFetchesEachResultOnce(t *testing.T) {
 	if err == nil || err.Error() != want {
 		t.Fatalf("RunSweep error %q, want %q", err, want)
 	}
+	if n := results.Load(); n != 0 {
+		t.Errorf("RunSweep made %d result requests, want none", n)
+	}
 	if len(res) != 4 {
 		t.Errorf("%d results, want 4", len(res))
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	for _, j := range jobs {
 		jh, _ := j.Spec.Hash()
-		want := 1
 		if strings.Contains(j.Key, "broken") {
-			want = 0
-		} else if got, sum := res[j.Key], seedSummary(j.Spec); got == nil || got.Cycles != sum.Cycles {
-			t.Errorf("%s: summary %+v, want cycles %d", j.Key, got, sum.Cycles)
+			if res[j.Key] != nil {
+				t.Errorf("%s: failed job has a summary", j.Key)
+			}
+			continue
 		}
-		if fetches[jh] != want {
-			t.Errorf("%s: result fetched %d times, want %d", j.Key, fetches[jh], want)
+		served, err := cl.Result(ctx, jh)
+		if err != nil {
+			t.Fatalf("%s: %v", j.Key, err)
+		}
+		got, _ := json.Marshal(res[j.Key])
+		wantSum, _ := json.Marshal(served.Summary)
+		if res[j.Key] == nil || string(got) != string(wantSum) {
+			t.Errorf("%s: summary %s, GET %s serves %s", j.Key, got, api.PathResult+jh, wantSum)
 		}
 	}
-	if early == 0 {
-		t.Error("no result was fetched before the sweep completed")
+	if early.Load() == 0 {
+		t.Error("no status answer carried a summary before the sweep completed")
+	}
+}
+
+// TestRunSweepRowWithoutSummary: a done row that carries no summary (a
+// coordinator predating JobStatus.Summary) is an error for its key, and
+// RunSweep does not fall back to a result request.
+func TestRunSweepRowWithoutSummary(t *testing.T) {
+	co, err := NewCoordinator(Config{CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results atomic.Int32
+	h := Handler(co)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasPrefix(r.URL.Path, api.PathSweep) || r.Method != http.MethodGet {
+			if strings.HasPrefix(r.URL.Path, api.PathResult) {
+				results.Add(1)
+			}
+			h.ServeHTTP(w, r)
+			return
+		}
+		// Serve the status answer without its rows' summaries.
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var st api.SweepStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+			return
+		}
+		for i := range st.Jobs {
+			st.Jobs[i].Summary = nil
+		}
+		writeJSON(w, &st)
+	}))
+	t.Cleanup(func() {
+		srv.Close()
+		co.Close()
+	})
+	cl := NewClient(srv.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	wctx, stop := context.WithCancel(ctx)
+	worker := inlineWorker(wctx, t, cl, 0)
+	res, err := cl.RunSweep(ctx, []runspec.Named{protoJob("a", 1), protoJob("b", 2)}, nil)
+	stop()
+	<-worker
+	want := "a: done row carries no summary\nb: done row carries no summary"
+	if err == nil || err.Error() != want {
+		t.Fatalf("RunSweep error %q, want %q", err, want)
+	}
+	if len(res) != 0 {
+		t.Errorf("%d results, want none", len(res))
+	}
+	if n := results.Load(); n != 0 {
+		t.Errorf("RunSweep made %d result requests, want none", n)
+	}
+}
+
+// TestSubmitRacesLeaseAndSweep: overlapping sweeps submitted at once, each
+// twice, read the corpus outside the coordinator's lock while a worker
+// leases and status readers poll; the coordinator still keeps one job per
+// hash: corpus hits are cached, every other hash is leased exactly once,
+// and each sweep completes with every row's summary.
+func TestSubmitRacesLeaseAndSweep(t *testing.T) {
+	dir := t.TempDir()
+	cache := runner.NewCache(dir)
+	var all []runspec.Named
+	for i := 1; i <= 24; i++ {
+		nj := protoJob(fmt.Sprintf("k%d", i), int64(i))
+		all = append(all, nj)
+		if i%3 == 0 {
+			h, _ := nj.Spec.Hash()
+			if err := cache.Store(h, nj.Spec.Normalized(), seedSummary(nj.Spec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	co, err := NewCoordinator(Config{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	sweeps := [][]runspec.Named{all[0:12], all[4:16], all[8:20], all[12:24], all}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	wctx, stop := context.WithCancel(ctx)
+	var leased sync.Map // hash → *atomic.Int32
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() { // the worker
+		defer bg.Done()
+		for wctx.Err() == nil {
+			l, err := co.Lease(wctx, "w", 5*time.Millisecond)
+			if err != nil || l == nil {
+				continue
+			}
+			n, _ := leased.LoadOrStore(l.Hash, new(atomic.Int32))
+			n.(*atomic.Int32).Add(1)
+			if _, err := co.Complete(api.CompleteRequest{Lease: l.ID, Outcome: api.OutcomeOK, Summary: seedSummary(l.Spec)}); err != nil {
+				t.Errorf("complete %s: %v", l.Key, err)
+			}
+		}
+	}()
+	ids := make([]string, len(sweeps))
+	for i, jobs := range sweeps {
+		h := make([]string, len(jobs))
+		for k, j := range jobs {
+			h[k], _ = j.Spec.Hash()
+		}
+		ids[i] = runspec.SweepID(h)
+	}
+	go func() { // a status reader; a sweep not yet submitted is not_found
+		defer bg.Done()
+		for wctx.Err() == nil {
+			for _, id := range ids {
+				_, _ = co.Sweep(wctx, id, sweepQuery{})
+			}
+		}
+	}()
+	var subs sync.WaitGroup
+	for range 2 {
+		for _, jobs := range sweeps {
+			subs.Add(1)
+			go func() {
+				defer subs.Done()
+				if _, err := co.Submit(jobs); err != nil {
+					t.Errorf("submit: %v", err)
+				}
+			}()
+		}
+	}
+	subs.Wait()
+
+	for _, id := range ids {
+		var q sweepQuery
+		for {
+			st, err := co.Sweep(ctx, id, q)
+			if err != nil {
+				t.Fatalf("sweep %s: %v", id, err)
+			}
+			if st.Complete {
+				break
+			}
+			q = sweepQuery{delta: true, wait: time.Second}
+			q.after, _, _ = co.parseCursor(st.Cursor)
+		}
+		st, err := co.Sweep(ctx, id, sweepQuery{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range st.Jobs {
+			if row.Summary == nil || row.Summary.Scheme != "nonsecure" {
+				t.Errorf("sweep %.8s row %s: %s with summary %+v", id, row.Key, row.State, row.Summary)
+			}
+		}
+	}
+	stop()
+	bg.Wait()
+
+	if s := co.Snapshot(); s.Jobs != len(all) || s.Cached != len(all)/3 || s.Done != len(all)-len(all)/3 || s.Sweeps != len(sweeps) {
+		t.Errorf("snapshot %+v, want %d jobs: %d cached, %d done; %d sweeps", s, len(all), len(all)/3, len(all)-len(all)/3, len(sweeps))
+	}
+	for i, nj := range all {
+		h, _ := nj.Spec.Hash()
+		var n int32
+		if c, ok := leased.Load(h); ok {
+			n = c.(*atomic.Int32).Load()
+		}
+		want := int32(1)
+		if (i+1)%3 == 0 {
+			want = 0 // in the corpus
+		}
+		if n != want {
+			t.Errorf("%s leased %d times, want %d", nj.Key, n, want)
+		}
 	}
 }

@@ -12,7 +12,8 @@
 //     runspec.SweepID over its jobs' spec hashes — the value that also
 //     names the runner's sweep journals — so submission is idempotent and
 //     a farm sweep and the identical in-process sweep name the same work.
-//     Submit hashes each spec once, outside the coordinator's lock.
+//     Submit hashes each spec once, and reads the corpus for the hashes it
+//     does not know yet, outside the coordinator's lock.
 //     Hashes fold defaults (runspec.Spec.Normalized), so the corpus is
 //     shareable across machines with different worker/core counts.
 //   - The shared result corpus is a runner.Cache: the same on-disk layout
@@ -23,6 +24,11 @@
 //     lease (Close drains it). A submitted job whose hash is already in
 //     the corpus is satisfied without dispatch — cache hits short-circuit
 //     the queue entirely.
+//   - A worker pipelines each result push with its next lease: it waits
+//     only until the complete request has been written to its connection,
+//     then long-polls for its next job while the coordinator answers the
+//     push. At most one push is in flight, and Work returns only after the
+//     last one is answered.
 //   - Reliability is lease-based. A worker holds each job under a TTL'd
 //     lease and renews it from inside the runner's heartbeat hook; a
 //     worker that dies simply stops heartbeating, its lease lapses, and
@@ -46,10 +52,9 @@
 //     a row of its sweep changes. A cursor from another lifetime gets the
 //     full table, so Client.RunSweep — which fetches the full table once,
 //     then long-polls deltas and merges them by key — rides out a
-//     coordinator restart without missing a row. RunSweep fetches results
-//     as rows land: each done or cached row's result is fetched once,
-//     during the sweep, so only the last answer's rows are left to fetch
-//     when it completes.
+//     coordinator restart without missing a row. Done and cached rows carry
+//     their summaries, so RunSweep makes no result request: each result
+//     travels once, in the answer that first shows its row terminal.
 //
 // See DESIGN.md's "Sweep farm" chapter for the endpoint, lease, and
 // state-machine reference, and examples/farm for a runnable walkthrough.

@@ -109,8 +109,13 @@ type ProgressReport struct {
 	Workers []api.WorkerStatus `json:"workers"`
 }
 
+// handleProgress writes the report indented, as the in-process status
+// server writes its /progress, for people reading it with curl.
 func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, ProgressReport{
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(ProgressReport{
 		Sweep:   c.cfg.Collector.Snapshot(),
 		Farm:    c.Snapshot(),
 		Workers: c.Workers(),
@@ -146,12 +151,11 @@ func registerFarmGauges(reg *obs.Registry, c *Coordinator) {
 	g("workers", func(s Stats) int { return s.Workers })
 }
 
-// writeJSON writes v as the 200 response body.
+// writeJSON writes v as the 200 response body of a /v1 request, compact:
+// programs read these answers, and a status answer carries summaries.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeErr maps a coordinator error onto the typed envelope. Non-protocol

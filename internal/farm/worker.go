@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptrace"
+	"sync"
 	"time"
 
 	"repro/internal/farm/api"
@@ -38,7 +40,8 @@ type WorkerOptions struct {
 	// registration (0 = unknown). Advisory: the coordinator surfaces it on
 	// /progress, it does not gate leasing.
 	MaxMemMB int
-	// Logf, when non-nil, receives one line per lease/completion.
+	// Logf, when non-nil, receives one line per lease/completion. The
+	// worker's loop and its result push call it concurrently.
 	Logf func(format string, args ...any)
 }
 
@@ -50,10 +53,15 @@ var ErrUnauthorized = errors.New("farm: worker: coordinator rejected credentials
 
 // Work runs the pull loop: lease → execute through the runner (with the
 // local cache and lease heartbeats) → push the summary or classified
-// failure. It returns the number of jobs executed, and an error only for
-// persistent coordinator unreachability — a canceled context is a clean
-// return, and per-job failures are the coordinator's to account, not the
-// worker's to die over.
+// failure. The push is pipelined with the next lease: Work waits only
+// until the complete request has been written to its connection, then
+// long-polls for its next job while the coordinator answers the push. At
+// most one push is in flight (a push waits for the previous one to be
+// answered), and Work returns only after its last push is answered. It
+// returns the number of jobs executed, and an error only for persistent
+// coordinator unreachability — a canceled context is a clean return, and
+// per-job failures are the coordinator's to account, not the worker's to
+// die over.
 func Work(ctx context.Context, o WorkerOptions) (int, error) {
 	if o.Client == nil {
 		return 0, fmt.Errorf("farm: worker: Client is required")
@@ -97,6 +105,12 @@ func Work(ctx context.Context, o WorkerOptions) (int, error) {
 	idleSince := time.Now()
 	const maxConsecutiveErrs = 10
 	consecutiveErrs := 0
+	// answered closes once the last push is answered; Work waits for it
+	// before it pushes again and before it returns.
+	none := make(chan struct{})
+	close(none)
+	var answered <-chan struct{} = none
+	defer func() { <-answered }()
 	for {
 		if ctx.Err() != nil {
 			return executed, nil
@@ -132,12 +146,21 @@ func Work(ctx context.Context, o WorkerOptions) (int, error) {
 		idleSince = time.Now()
 		executed++
 		logf("lease %s: %s (attempt %d)", lease.ID, lease.Key, lease.Attempt)
-		o.runLease(ctx, cache, lease, logf)
+		req, ok := o.runLease(ctx, cache, lease, logf)
+		if !ok {
+			continue
+		}
+		<-answered
+		var written <-chan struct{}
+		written, answered = o.push(ctx, lease, req, logf)
+		<-written
 	}
 }
 
-// runLease executes one leased job and pushes its outcome.
-func (o WorkerOptions) runLease(ctx context.Context, cache *runner.Cache, lease *api.Lease, logf func(string, ...any)) {
+// runLease executes one leased job and returns the complete request that
+// reports its outcome, or false when the attempt was abandoned and nothing
+// is to be pushed.
+func (o WorkerOptions) runLease(ctx context.Context, cache *runner.Cache, lease *api.Lease, logf func(string, ...any)) (api.CompleteRequest, bool) {
 	spec := lease.Spec
 	hbEvery := time.Duration(lease.TTLMS) * time.Millisecond / 3
 	if hbEvery <= 0 {
@@ -184,12 +207,12 @@ func (o WorkerOptions) runLease(ctx context.Context, cache *runner.Cache, lease 
 			// failed the job under its own accounting); a Complete push
 			// would only be answered lease_gone.
 			logf("lease %s lost mid-attempt, abandoned", lease.ID)
-			return
+			return req, false
 		case errors.Is(err, context.Canceled) || ctx.Err() != nil:
 			// Shutdown mid-job: don't classify, just let the lease lapse so
 			// the coordinator re-queues with its own accounting.
 			logf("canceled mid-job, abandoning lease %s", lease.ID)
-			return
+			return req, false
 		case errors.As(err, &pe):
 			req.Outcome = api.OutcomePanic
 		case errors.Is(err, runner.ErrJobTimeout):
@@ -199,25 +222,46 @@ func (o WorkerOptions) runLease(ctx context.Context, cache *runner.Cache, lease 
 		}
 		req.Error = err.Error()
 	}
+	return req, true
+}
 
+// push sends req on its own goroutine. written closes once the request has
+// been written to its connection (by any attempt) or the push has ended,
+// whichever comes first; answered closes once the push has ended.
+func (o WorkerOptions) push(ctx context.Context, lease *api.Lease, req api.CompleteRequest, logf func(string, ...any)) (written, answered <-chan struct{}) {
+	wrote, done := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	markWritten := func() { once.Do(func() { close(wrote) }) }
 	// Push on an independent short deadline: a computed result must not be
 	// lost to the same ctx cancellation that is shutting the worker down.
 	pctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 15*time.Second)
-	defer cancel()
-	resp, cerr := o.Client.Complete(pctx, req)
-	if cerr != nil {
-		var ae *api.Error
-		if errors.As(cerr, &ae) && ae.Code == api.CodeLeaseGone {
-			// Benign: the lease lapsed while we pushed, or a retried
-			// delivery raced its own duplicate. The job is the
-			// coordinator's to account either way.
-			logf("complete %s: lease already settled", lease.ID)
+	pctx = httptrace.WithClientTrace(pctx, &httptrace.ClientTrace{
+		WroteRequest: func(info httptrace.WroteRequestInfo) {
+			if info.Err == nil {
+				markWritten()
+			}
+		},
+	})
+	go func() {
+		defer close(done)
+		defer markWritten()
+		defer cancel()
+		resp, err := o.Client.Complete(pctx, req)
+		if err != nil {
+			var ae *api.Error
+			if errors.As(err, &ae) && ae.Code == api.CodeLeaseGone {
+				// Benign: the lease lapsed while we pushed, or a retried
+				// delivery raced its own duplicate. The job is the
+				// coordinator's to account either way.
+				logf("complete %s: lease already settled", lease.ID)
+				return
+			}
+			logf("complete %s: %v", lease.ID, err)
 			return
 		}
-		logf("complete %s: %v", lease.ID, cerr)
-		return
-	}
-	logf("done %s: %s → %s", lease.ID, lease.Key, resp.State)
+		logf("done %s: %s → %s", lease.ID, lease.Key, resp.State)
+	}()
+	return wrote, done
 }
 
 // heartbeatFatal classifies a heartbeat error as attempt-ending: the

@@ -32,11 +32,20 @@
 # envelope with a known code, and that the job census adds up, in
 # internal/farm/handler_test.go.
 #
-# The farm's long-poll and corpus-writer tests (sweep-status and lease
-# long-polls, RunSweep and its result fetches, Shutdown unparking, Close
-# draining the corpus writer, replay of a result acknowledged but never
-# stored) then run ten more times under -race: they park and wake
-# goroutines, so a leak or a lost wake-up shows up as a flake there.
+# Every fuzz step bounds minimization to ten executions per input
+# (-fuzzminimizetime=10x). The default is up to 60 s per input, and the
+# fuzzer minimizes every input that adds coverage, not only failing ones:
+# the simulation loop's step spent most of its 15 s minimizing a few
+# inputs (5 to 10 s each) and kept one or two new inputs a run, against
+# 250 to 290 with the bound.
+#
+# The farm's long-poll, corpus-writer and pipelining tests (sweep-status
+# and lease long-polls, RunSweep taking results from status rows,
+# Shutdown unparking, Close draining the corpus writer, replay of a result
+# acknowledged but never stored, the worker's result push pipelined with
+# its next lease, Submit reading the corpus outside the coordinator's lock)
+# then run ten more times under -race: they park and wake goroutines, so a
+# leak or a lost wake-up shows up as a flake there.
 #
 # The chaos suite (injected panics, hangs, mid-sweep cancellation) runs
 # last with -count=3 to shake out flakes; it is non-gating so a flaky
@@ -58,9 +67,9 @@ go test -race ./internal/stats/... ./internal/obs/... ./internal/runner/... ./in
 go test ./...
 go run ./cmd/experiments -all -ops 15000 | diff -u results_full.txt -
 go run ./cmd/experiments -ablations -ops 15000 -bench pr,mcf,lbm,cc,bwaves | diff -u results_ablations.txt -
-go test -run '^$' -fuzz '^FuzzSchedulerMatchesReference$' -fuzztime 30s ./internal/dram/
-go test -run '^$' -fuzz '^FuzzAdvanceMatchesCycle$' -fuzztime 15s ./internal/cpu/
-go test -run '^$' -fuzz '^FuzzLoopMatchesReference$' -fuzztime 15s ./internal/sim/
-go test -run '^$' -fuzz '^FuzzHandlerRequests$' -fuzztime 10s ./internal/farm/
-go test -race -count=10 -run 'TestSweepLongPoll|TestRunSweep|TestChaosShutdownDrainsParked|TestFarmLongPollWake|TestCorpusWriterDrainsOnClose|TestReplayRequeuesDoneWithoutEntry' ./internal/farm/
+go test -run '^$' -fuzz '^FuzzSchedulerMatchesReference$' -fuzztime 30s -fuzzminimizetime=10x ./internal/dram/
+go test -run '^$' -fuzz '^FuzzAdvanceMatchesCycle$' -fuzztime 15s -fuzzminimizetime=10x ./internal/cpu/
+go test -run '^$' -fuzz '^FuzzLoopMatchesReference$' -fuzztime 15s -fuzzminimizetime=10x ./internal/sim/
+go test -run '^$' -fuzz '^FuzzHandlerRequests$' -fuzztime 10s -fuzzminimizetime=10x ./internal/farm/
+go test -race -count=10 -run 'TestSweepLongPoll|TestRunSweep|TestChaosShutdownDrainsParked|TestFarmLongPollWake|TestCorpusWriterDrainsOnClose|TestReplayRequeuesDoneWithoutEntry|TestWorkerPipelinesPush|TestSubmitRacesLeaseAndSweep' ./internal/farm/
 go test -count=3 -run 'TestChaos' ./internal/runner/... ./internal/farm/... || echo "chaos suite: FAILED (non-gating)" >&2
